@@ -7,16 +7,12 @@ total), and construct witness matrices including a minimax-balanced one.
 """
 
 from .analysis import (
-    LossTable,
     bound_e,
     extremal_summary,
     f_search_interval,
     interval_test,
-    loss_table,
     max_g,
-    max_g_by_search,
     min_f,
-    min_f_closed_form,
 )
 from .construct import (
     SlicingState,
@@ -34,7 +30,6 @@ from .core import (
     NegativeScore,
     OracleBudgetExceeded,
     PointMatrix,
-    PrefixTables,
     RealizationReport,
     ScoreSequence,
     ShapeMismatch,
@@ -42,7 +37,6 @@ from .core import (
     ceil_div,
     matrix_stats,
     normalize_sequence,
-    prefix_tables,
     verify_realization,
 )
 from .oracle import (
@@ -61,13 +55,11 @@ __all__ = [
     "InfeasiblePrefix",
     "InputTooShort",
     "IntervalParams",
-    "LossTable",
     "MatrixStats",
     "NegativeScore",
     "OracleBudgetExceeded",
     "OracleResult",
     "PointMatrix",
-    "PrefixTables",
     "RealizationReport",
     "ScoreSequence",
     "ShapeMismatch",
@@ -82,18 +74,14 @@ __all__ = [
     "f_search_interval",
     "interval_test",
     "landau_test",
-    "loss_table",
     "matrix_stats",
     "max_g",
-    "max_g_by_search",
     "min_f",
-    "min_f_closed_form",
     "mini_max",
     "moon_test",
     "naive_construct",
     "normalize_sequence",
     "pigeonhole_construct",
-    "prefix_tables",
     "score_slicing",
     "sweep",
     "verify_realization",

@@ -19,44 +19,9 @@ score.  All arithmetic is exact; no floating point is used anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import accumulate
 
-from .core import (
-    ExtremalSummary,
-    IntervalParams,
-    PrefixTables,
-    ScoreSequence,
-    ceil_div,
-    prefix_tables,
-)
-
-
-@dataclass(frozen=True)
-class LossTable:
-    """Loss-function values L_0..L_n for a fixed pair-total upper bound b."""
-
-    b: int
-    L: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.L[0] != 0:
-            raise ValueError("loss table must start at 0")
-        if any(x > y for x, y in zip(self.L, self.L[1:])):
-            raise ValueError("loss table must be nondecreasing")
-
-
-def loss_table(D: ScoreSequence, b: int, tables: PrefixTables) -> LossTable:
-    """Points the top players must concede: running max of b*B_k - S_k, floored at 0.
-
-    Equivalently L_k = max over 0 <= j <= k of max(0, b*B_j - S_j).
-    """
-    if b < 0:
-        raise ValueError(f"upper bound b={b} must be nonnegative")
-    B, S = tables.B, tables.S
-    L = [0]
-    for k in range(1, D.n + 1):
-        L.append(max(L[-1], b * B[k] - S[k]))
-    return LossTable(b=b, L=tuple(L))
+from .core import ExtremalSummary, IntervalParams, ScoreSequence, ceil_div
 
 
 def interval_test(D: ScoreSequence, params: IntervalParams) -> bool:
@@ -94,15 +59,16 @@ def bound_e(D: ScoreSequence) -> int:
     return ceil_div(D.scores[-1], D.n - 1)
 
 
-def f_search_interval(D: ScoreSequence, tables: PrefixTables) -> tuple[int, int]:
+def f_search_interval(D: ScoreSequence) -> tuple[int, int]:
     """Window [lo, hi] guaranteed to contain f.
 
     lo = max(ceil(S_n / B_n), ceil(d_n / (n - 1))): the global average pair
     total and the top row's pigeonhole bound.  hi = 2 * ceil(d_n / (n - 1)):
     attained by the evenly-spread construction.
     """
+    n = D.n
     h = bound_e(D)
-    lo = max(ceil_div(tables.S[-1], tables.B[-1]), h)
+    lo = max(ceil_div(sum(D.scores), n * (n - 1) // 2), h)
     return lo, 2 * h
 
 
@@ -113,7 +79,7 @@ def min_f(D: ScoreSequence) -> int:
     because raising b only relaxes the right-hand inequalities.
     O(n log(d_n / n)) time.
     """
-    lo, hi = f_search_interval(D, prefix_tables(D))
+    lo, hi = f_search_interval(D)
     if interval_test(D, IntervalParams(0, lo)):
         return lo
     # invariant: lo infeasible, hi feasible
@@ -127,40 +93,39 @@ def min_f(D: ScoreSequence) -> int:
 
 
 def min_f_closed_form(D: ScoreSequence) -> int:
-    """Direct O(n^2) evaluation of f, used to cross-check the binary search.
+    """Direct O(n) evaluation of f, used to cross-check the binary search.
 
     Unfolding the loss table turns the right-hand inequalities into one
-    constraint per index pair j <= k:
+    constraint per index pair 0 <= j < n, max(j, 1) <= k <= n:
 
-        S_k + (n - k) * d_k - S_j  <=  b * (B_n - B_j),
+        T_k - S_j  <=  b * (B_n - B_j),    T_k = S_k + (n - k) * d_k.
 
-    so f is the largest of the ceiled quotients over 0 <= j < n, j <= k <= n.
+    For a fixed j only top = max over k >= max(j, 1) of T_k counts, so one
+    backward pass that keeps this suffix maximum yields f as the largest
+    ceiled quotient (top - S_j) / (B_n - B_j) over j.
     """
-    tables = prefix_tables(D)
-    B, S = tables.B, tables.S
-    n = D.n
     scores = D.scores
+    n = len(scores)
+    S = list(accumulate(scores, initial=0))
+    pairs = n * (n - 1) // 2
+    top = S[n]
     best = 0
-    for j in range(n):
-        den = B[n] - B[j]
-        for k in range(max(j, 1), n + 1):
-            num = S[k] + (n - k) * scores[k - 1] - S[j]
-            q = ceil_div(num, den)
-            if q > best:
-                best = q
+    for j in range(n - 1, -1, -1):
+        if j:
+            top = max(top, S[j] + (n - j) * scores[j - 1])
+        best = max(best, ceil_div(top - S[j], pairs - j * (j - 1) // 2))
     return best
 
 
-def max_g(D: ScoreSequence, f: int) -> int:
+def max_g(D: ScoreSequence) -> int:
     """Largest a such that D is realizable with all pair totals in [a, f].
 
     The a-side of the test decouples from b, so the answer is the closed
     form min over 2 <= k <= n of floor(S_k / B_k); it never exceeds f.
     O(n) time.
     """
-    tables = prefix_tables(D)
-    B, S = tables.B, tables.S
-    return min(S[k] // B[k] for k in range(2, D.n + 1))
+    prefix = enumerate(accumulate(D.scores), start=1)
+    return min(S // (k * (k - 1) // 2) for k, S in prefix if k > 1)
 
 
 def max_g_by_search(D: ScoreSequence, f: int) -> int:
@@ -180,12 +145,11 @@ def max_g_by_search(D: ScoreSequence, f: int) -> int:
 
 def extremal_summary(D: ScoreSequence) -> ExtremalSummary:
     """Compute e, f, g together with the window the f-search used."""
-    lo, hi = f_search_interval(D, prefix_tables(D))
-    f = min_f(D)
+    lo, hi = f_search_interval(D)
     return ExtremalSummary(
         e=bound_e(D),
-        f=f,
-        g=max_g(D, f),
+        f=min_f(D),
+        g=max_g(D),
         f_search_lo=lo,
         f_search_hi=hi,
     )

@@ -191,7 +191,8 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     summary = None
     if args.method == "naive":
         M = naive_construct(raw)
-        default_a, default_b = 0, max(raw)
+        # with two players both cycle arcs fall on the one pair
+        default_a, default_b = 0, sum(raw) if len(raw) == 2 else max(raw)
     elif args.method == "pigeonhole":
         M = pigeonhole_construct(D)
         default_a, default_b = 0, 2 * bound_e(D)
@@ -260,17 +261,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _oracle_budget(args: argparse.Namespace) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env is not None:
+    budget = args.budget
+    if budget is None:
+        env = os.environ.get(BUDGET_ENV_VAR)
+        if env is None:
+            return DEFAULT_BUDGET
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
             raise ValueError(
                 f"{BUDGET_ENV_VAR}={env!r} is not an integer"
             ) from None
-    return DEFAULT_BUDGET
+    if budget < 0:
+        raise ValueError(f"oracle budget {budget} must be nonnegative")
+    return budget
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
@@ -344,6 +348,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown bench algorithms: {sorted(unknown)}")
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     mm_sizes = [int(s) for s in args.minimax_sizes.split(",") if s.strip()]
+    if args.repeats < 1:
+        raise ValueError(f"repeats {args.repeats} must be at least 1")
 
     print("algorithm,n,d_max,seed,repeats,best_seconds,input_checksum")
     for name in algorithms:

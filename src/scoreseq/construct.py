@@ -75,36 +75,32 @@ class SlicingState:
     k: players still unsettled (matches among 1..k remain open).
     p: provisional scores p[1..k] with sentinel p[0] = 0, nondecreasing.
     grid: 1-based (n+1) x (n+1) working matrix; row 0 / column 0 unused.
-    missing: points player k must still shed to land on p[k].
-    additional: slack A[i] = P_i - a * B_i of the first i players, where
-        P_i is the prefix sum of p.
     """
 
     k: int
     p: list[int]
     grid: list[list[int]]
-    missing: int = 0
-    additional: list[int] | None = None
 
 
-def _rebuild_additional(p: list[int], k: int, a: int) -> tuple[list[int], list[int]]:
-    """Slack A[i] = P_i - a*B_i over p[1..k-1], plus suffix minima of A.
+def _rebuild_additional(p: list[int], k: int, a: int) -> list[int]:
+    """Room for hand-outs to players 1..k-1: suffix minima of the slack.
 
-    A hand-out to player i lowers every prefix sum from i on, so the room
-    left for player i is min(A[i], A[i+1], ..., A[k-1]), not A[i] alone.
+    The slack of the first i players is A[i] = P_i - a*B_i, where P_i is the
+    prefix sum of p.  A hand-out to player i lowers every prefix sum from i
+    on, so the room left for player i is min(A[i], A[i+1], ..., A[k-1]), not
+    A[i] alone.
     """
-    A = [0] * k
+    room = [0] * k
     prefix = 0
     pairs = 0
     for i in range(1, k):
         prefix += p[i]
         pairs += i - 1
-        A[i] = prefix - a * pairs
-    suffix_min = list(A)
+        room[i] = prefix - a * pairs
     for i in range(k - 2, 0, -1):
-        if suffix_min[i + 1] < suffix_min[i]:
-            suffix_min[i] = suffix_min[i + 1]
-    return A, suffix_min
+        if room[i + 1] < room[i]:
+            room[i] = room[i + 1]
+    return room
 
 
 def _restore_order(p: list[int], grid: list[list[int]], k: int) -> None:
@@ -151,7 +147,7 @@ def score_slicing(state: SlicingState, params: IntervalParams) -> SlicingState:
     missing = (k - 1) * b - p[k]
     if missing < 0:
         raise InfeasiblePrefix(f"score p[{k}]={p[k]} exceeds ({k - 1})*b={b * (k - 1)}")
-    A, room_after = _rebuild_additional(p, k, a)
+    room_after = _rebuild_additional(p, k, a)
 
     # Every pair total must end up at least a, so forfeits alone can shed at
     # most (k-1)*(b-a) points and this many must leave via hand-outs that
@@ -162,7 +158,7 @@ def score_slicing(state: SlicingState, params: IntervalParams) -> SlicingState:
 
     # Phase 1: hand surplus to players that still hold slack, top block first,
     # keeping the receiving pair totals pinned at b.
-    while missing > 0 and A[k - 1] > 0:
+    while missing > 0 and room_after[k - 1] > 0:
         x = k - 1
         while x >= 1 and (
             grid[x][k] == b or (deficit > 0 and grid[x][k] >= a)
@@ -206,7 +202,7 @@ def score_slicing(state: SlicingState, params: IntervalParams) -> SlicingState:
         if handed == 0:
             break
         _restore_order(p, grid, k)
-        A, room_after = _rebuild_additional(p, k, a)
+        room_after = _rebuild_additional(p, k, a)
 
     # Phase 2: plain forfeits, lowering pair totals toward a.
     while missing > 0:
@@ -226,7 +222,7 @@ def score_slicing(state: SlicingState, params: IntervalParams) -> SlicingState:
             )
 
     _restore_order(p, grid, k)
-    return SlicingState(k=k - 1, p=p[:k], grid=grid, missing=0, additional=A)
+    return SlicingState(k=k - 1, p=p[:k], grid=grid)
 
 
 def mini_max(D: ScoreSequence) -> tuple[ExtremalSummary, PointMatrix]:

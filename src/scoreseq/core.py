@@ -151,14 +151,6 @@ class MatrixStats:
 
 
 @dataclass(frozen=True)
-class PrefixTables:
-    """Running pair counts B_k = k(k-1)/2 and score prefix sums S_k, k = 0..n."""
-
-    B: tuple[int, ...]
-    S: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class ExtremalSummary:
     """The three optimum parameters of a score sequence.
 
@@ -209,16 +201,6 @@ def normalize_sequence(raw: Sequence[int]) -> tuple[ScoreSequence, tuple[int, ..
     _validate_scores(raw, require_sorted=False)
     order = sorted(range(len(raw)), key=lambda i: raw[i])
     return ScoreSequence(tuple(raw[i] for i in order)), tuple(order)
-
-
-def prefix_tables(D: ScoreSequence) -> PrefixTables:
-    """Tabulate B_k = k(k-1)/2 and S_k = d_1 + ... + d_k for k = 0..n."""
-    B = [0]
-    S = [0]
-    for k, d in enumerate(D.scores, start=1):
-        B.append(B[-1] + k - 1)
-        S.append(S[-1] + d)
-    return PrefixTables(B=tuple(B), S=tuple(S))
 
 
 def matrix_stats(M: PointMatrix) -> MatrixStats:

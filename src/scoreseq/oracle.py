@@ -33,13 +33,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .analysis import bound_e, extremal_summary, interval_test
-from .core import (
-    IntervalParams,
-    OracleBudgetExceeded,
-    PointMatrix,
-    ScoreSequence,
-    prefix_tables,
-)
+from .core import IntervalParams, OracleBudgetExceeded, PointMatrix, ScoreSequence
 
 DEFAULT_BUDGET = 10**8
 MAX_ORACLE_PLAYERS = 6
@@ -192,24 +186,18 @@ def enumerate_extremes(
 
 def landau_test(D: ScoreSequence) -> bool:
     """Classical one-point round robin check: S_n = B_n and S_k >= B_k."""
-    tables = prefix_tables(D)
-    B, S = tables.B, tables.S
-    n = D.n
-    if S[n] != B[n]:
-        return False
-    return all(S[k] >= B[k] for k in range(1, n))
+    return moon_test(D, 1)
 
 
 def moon_test(D: ScoreSequence, c: int) -> bool:
     """c-points-per-match round robin check: S_n = c*B_n and S_k >= c*B_k."""
     if c < 1:
         raise ValueError(f"points per match c={c} must be at least 1")
-    tables = prefix_tables(D)
-    B, S = tables.B, tables.S
     n = D.n
-    if S[n] != c * B[n]:
+    S = list(itertools.accumulate(D.scores, initial=0))
+    if S[n] != c * (n * (n - 1) // 2):
         return False
-    return all(S[k] >= c * B[k] for k in range(1, n))
+    return all(S[k] >= c * (k * (k - 1) // 2) for k in range(1, n))
 
 
 @dataclass(frozen=True)
@@ -243,7 +231,8 @@ def sweep(
     d_max this checks:
 
     * exhaustive min F / max G / min E against min_f, max_g, bound_e
-      (full realization space, pair_cap = 2 * d_n);
+      (pair_cap = 2 * ceil(d_n / (n - 1)), exact as the module docstring
+      shows);
     * realizability of every window (a, b) with b up to one past the
       evenly-spread bound, against interval_test;
     * interval_test on the diagonal windows against landau_test/moon_test.

@@ -22,17 +22,15 @@ from scoreseq import (
     landau_test,
     matrix_stats,
     max_g,
-    max_g_by_search,
     min_f,
-    min_f_closed_form,
     mini_max,
     moon_test,
     naive_construct,
     pigeonhole_construct,
-    prefix_tables,
     sweep,
     verify_realization,
 )
+from scoreseq.analysis import max_g_by_search, min_f_closed_form
 from scoreseq.cli import generate_scores
 
 from golden import SCORES_SIX, TABLE_BALANCED, TABLE_UNBALANCED, TABLE_WIDE
@@ -234,7 +232,7 @@ def test_criterion_8_formula_cross_checks():
         f = min_f(D)
         if min_f_closed_form(D) != f:
             mismatches += 1
-        if max_g_by_search(D, f) != max_g(D, f):
+        if max_g_by_search(D, f) != max_g(D):
             mismatches += 1
 
     for n in range(2, 5):
@@ -255,13 +253,12 @@ def test_criterion_8_formula_cross_checks():
     # floor: on the zeros-and-forties sequence it claims 8 where the zero
     # scores force a zero pair total
     D = ScoreSequence((0, 0, 0, 40, 40, 40))
-    T = prefix_tables(D)
     n = D.n
     prefix_average_guess = max(
-        -(-2 * T.S[k] // (n * n - n)) for k in range(1, n + 1)
+        -(-2 * S // (n * n - n)) for S in itertools.accumulate(D.scores)
     )
     f = min_f(D)
-    g = max_g(D, f)
+    g = max_g(D)
     ok &= prefix_average_guess == 8
     ok &= g == 0
     ok &= interval_test(D, IntervalParams(0, f))

@@ -4,19 +4,15 @@ from hypothesis import strategies as st
 
 from scoreseq import (
     IntervalParams,
-    LossTable,
     ScoreSequence,
     bound_e,
     extremal_summary,
     f_search_interval,
     interval_test,
-    loss_table,
     max_g,
-    max_g_by_search,
     min_f,
-    min_f_closed_form,
-    prefix_tables,
 )
+from scoreseq.analysis import max_g_by_search, min_f_closed_form
 
 from golden import SCORES_SIX
 
@@ -30,37 +26,51 @@ def sequences(max_n=10, max_d=50):
     )
 
 
+def _interval_test_written_out(D, a, b):
+    """The realizability inequalities with every table spelled out in full."""
+    n = D.n
+    S = [sum(D.scores[:k]) for k in range(n + 1)]
+    B = [k * (k - 1) // 2 for k in range(n + 1)]
+    L = [max(0, *(b * B[j] - S[j] for j in range(k + 1))) for k in range(n + 1)]
+    return all(
+        a * B[k] <= S[k] <= b * B[n] - L[k] - (n - k) * D.scores[k - 1]
+        for k in range(1, n + 1)
+    )
+
+
 class TestLossTable:
+    """The loss table L_k, as interval_test evaluates it inline."""
+
     def test_all_ones(self):
+        # L stays 0 at b = 1, so the cyclic triangle fits under that cap
         D = ScoreSequence((1, 1, 1))
-        table = loss_table(D, 1, prefix_tables(D))
-        assert table.L == (0, 0, 0, 0)
+        assert interval_test(D, IntervalParams(0, 1))
+        assert _interval_test_written_out(D, 0, 1)
 
     def test_zeros_forties(self):
-        table = loss_table(ZEROS_FORTIES, 10, prefix_tables(ZEROS_FORTIES))
-        assert table.L[3] == 30
-        assert table.L == (0, 0, 10, 30, 30, 30, 30)
+        # the three zeros force L_3 = 3b onto the forties: with L the cap
+        # b = 10 is tight and b = 9 fails, without it b = 9 would pass
+        assert interval_test(ZEROS_FORTIES, IntervalParams(0, 10))
+        assert not interval_test(ZEROS_FORTIES, IntervalParams(0, 9))
+        assert _interval_test_written_out(ZEROS_FORTIES, 0, 10)
+        assert not _interval_test_written_out(ZEROS_FORTIES, 0, 9)
 
     def test_zero_bound_gives_zero_table(self):
-        table = loss_table(SIX, 0, prefix_tables(SIX))
-        assert table.L == (0,) * 7
+        # with L = 0 at b = 0 only the all-zero sequence fits
+        assert not interval_test(SIX, IntervalParams(0, 0))
+        assert interval_test(ScoreSequence((0, 0, 0)), IntervalParams(0, 0))
 
     def test_rejects_negative_bound(self):
         with pytest.raises(ValueError):
-            loss_table(SIX, -1, prefix_tables(SIX))
+            interval_test(SIX, IntervalParams(0, -1))
 
-    @given(sequences(), st.integers(0, 60))
-    def test_running_max_form(self, D, b):
-        T = prefix_tables(D)
-        table = loss_table(D, b, T)
-        for k in range(D.n + 1):
-            assert table.L[k] == max(
-                max((b * T.B[j] - T.S[j] for j in range(k + 1)), default=0), 0
-            )
-
-    def test_table_type_rejects_decreasing(self):
-        with pytest.raises(ValueError):
-            LossTable(b=1, L=(0, 2, 1))
+    @given(sequences(), st.integers(0, 30))
+    def test_running_max_form(self, D, a):
+        # every cap from a to one past the evenly-spread bound, so the caps
+        # where the loss term decides are always among them
+        for b in range(a, max(a, 2 * bound_e(D)) + 2):
+            expected = _interval_test_written_out(D, a, b)
+            assert interval_test(D, IntervalParams(a, b)) == expected, b
 
 
 class TestIntervalTest:
@@ -103,14 +113,14 @@ class TestBoundE:
 
 class TestFSearchInterval:
     def test_zeros_forties(self):
-        assert f_search_interval(ZEROS_FORTIES, prefix_tables(ZEROS_FORTIES)) == (8, 16)
+        assert f_search_interval(ZEROS_FORTIES) == (8, 16)
 
     def test_six_players(self):
-        assert f_search_interval(SIX, prefix_tables(SIX)) == (9, 14)
+        assert f_search_interval(SIX) == (9, 14)
 
     def test_two_zeros(self):
         D = ScoreSequence((0, 0))
-        assert f_search_interval(D, prefix_tables(D)) == (0, 0)
+        assert f_search_interval(D) == (0, 0)
 
 
 class TestMinF:
@@ -132,24 +142,24 @@ class TestMinF:
 
     @given(sequences())
     def test_lies_in_search_window(self, D):
-        lo, hi = f_search_interval(D, prefix_tables(D))
+        lo, hi = f_search_interval(D)
         assert lo <= min_f(D) <= hi
 
 
 class TestMaxG:
     def test_six_players(self):
-        assert max_g(SIX, 9) == 8
+        assert max_g(SIX) == 8
 
     def test_zeros_forties(self):
-        assert max_g(ZEROS_FORTIES, 10) == 0
+        assert max_g(ZEROS_FORTIES) == 0
 
     def test_all_ones(self):
-        assert max_g(ScoreSequence((1, 1, 1)), 1) == 1
+        assert max_g(ScoreSequence((1, 1, 1))) == 1
 
     @given(sequences())
     def test_is_largest_feasible_floor(self, D):
         f = min_f(D)
-        g = max_g(D, f)
+        g = max_g(D)
         assert 0 <= g <= f
         assert interval_test(D, IntervalParams(g, f))
         assert not interval_test(D, IntervalParams(g + 1, max(f, g + 1)))
@@ -168,7 +178,7 @@ class TestClosedFormCrossChecks:
     @given(sequences(max_n=12, max_d=100))
     def test_g_search_agrees_with_closed_form(self, D):
         f = min_f(D)
-        assert max_g_by_search(D, f) == max_g(D, f)
+        assert max_g_by_search(D, f) == max_g(D)
 
 
 class TestExtremalSummary:
@@ -193,6 +203,6 @@ class TestExtremalSummary:
     @given(sequences())
     def test_average_total_sits_between_g_and_f(self, D):
         s = extremal_summary(D)
-        T = prefix_tables(D)
-        assert s.g <= T.S[-1] // T.B[-1] <= s.f
+        average = sum(D.scores) // (D.n * (D.n - 1) // 2)
+        assert s.g <= average <= s.f
         assert s.e <= s.f

@@ -110,6 +110,15 @@ class TestReconstruct:
         assert code == 0
         assert payload["valid"] is True
 
+    def test_naive_two_players_verifies_its_own_witness(self, capsys):
+        # both cycle arcs land on the one pair, so the default cap is d_1 + d_2
+        code, payload, _ = invoke_json(
+            capsys, "reconstruct", "--scores", "3,4", "--method", "naive"
+        )
+        assert code == 0
+        assert payload["b"] == 7
+        assert payload["report"]["valid"] is True
+
     def test_minimax_reports_extremes(self, capsys):
         code, payload, _ = invoke_json(
             capsys, "reconstruct", "--scores", SIX_ARG
@@ -197,6 +206,17 @@ class TestOracle:
         code, _, err = invoke(capsys, "oracle", "--scores", "1,1,1")
         assert code == 3
 
+    def test_negative_budget_flag_is_input_error(self, capsys):
+        code, _, err = invoke(capsys, "oracle", "--scores", "1,1,1", "--budget", "-1")
+        assert code == 2
+        assert "nonnegative" in err
+
+    def test_negative_env_budget_is_input_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("SCORESEQ_ORACLE_BUDGET", "-1")
+        code, _, err = invoke(capsys, "oracle", "--scores", "1,1,1")
+        assert code == 2
+        assert "nonnegative" in err
+
     def test_flag_budget_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("SCORESEQ_ORACLE_BUDGET", "5")
         code, payload, _ = invoke_json(
@@ -245,6 +265,15 @@ class TestBench:
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         assert [r[0] for r in rows] == ["minimax", "minimax"]
         assert [r[1] for r in rows] == ["20", "40"]
+
+    def test_zero_repeats_is_input_error(self, capsys):
+        code, out, err = invoke(
+            capsys, "bench", "--algorithms", "min-f", "--sizes", "10",
+            "--repeats", "0",
+        )
+        assert code == 2
+        assert out == ""
+        assert "repeats" in err
 
     def test_unknown_algorithm_is_input_error(self, capsys):
         code, _, err = invoke(capsys, "bench", "--algorithms", "quantum")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -172,6 +173,26 @@ class TestMiniMax:
             stats = matrix_stats(M)
             assert stats.max_pair_total == summary.f, D.scores
             assert stats.min_pair_total == summary.g, D.scores
+
+    def test_exhaustive_small_sequences(self):
+        # every nondecreasing sequence with n <= 6 and d <= 8, plus n = 7
+        # with d <= 6: 6,711 inputs
+        grids = [(n, 8) for n in range(2, 7)] + [(7, 6)]
+        checked = 0
+        for n, d_max in grids:
+            for seq in itertools.combinations_with_replacement(range(d_max + 1), n):
+                D = ScoreSequence(seq)
+                summary, M = mini_max(D)
+                report = verify_realization(
+                    M, D, IntervalParams(summary.g, summary.f)
+                )
+                assert report.valid, (seq, report.failures)
+                assert M.row_sums() == seq
+                stats = matrix_stats(M)
+                assert stats.max_pair_total == summary.f, seq
+                assert stats.min_pair_total == summary.g, seq
+                checked += 1
+        assert checked == 6711
 
     @given(sequences)
     @settings(max_examples=150, deadline=None)

@@ -12,7 +12,6 @@ from scoreseq import (
     ceil_div,
     matrix_stats,
     normalize_sequence,
-    prefix_tables,
     verify_realization,
 )
 
@@ -76,31 +75,6 @@ class TestScoreSequence:
         assert len(D) == D.n == 3
         assert list(D) == [1, 2, 3]
         assert D[-1] == 3
-
-
-class TestPrefixTables:
-    def test_six_player_scores(self):
-        T = prefix_tables(ScoreSequence(SCORES_SIX))
-        assert T.S == (0, 9, 18, 37, 57, 89, 123)
-        assert T.B == (0, 0, 1, 3, 6, 10, 15)
-
-    def test_two_zeros(self):
-        T = prefix_tables(ScoreSequence((0, 0)))
-        assert T.S == (0, 0, 0)
-        assert T.B == (0, 0, 1)
-
-    def test_three_zeros_three_forties(self):
-        T = prefix_tables(ScoreSequence((0, 0, 0, 40, 40, 40)))
-        assert T.S[6] == 120
-        assert T.B[6] == 15
-
-    @given(score_lists)
-    def test_matches_direct_summation(self, raw):
-        D, _ = normalize_sequence(raw)
-        T = prefix_tables(D)
-        n = D.n
-        assert T.S == tuple(sum(D.scores[:k]) for k in range(n + 1))
-        assert T.B == tuple(k * (k - 1) // 2 for k in range(n + 1))
 
 
 class TestPointMatrix:
