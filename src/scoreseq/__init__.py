@@ -28,6 +28,7 @@ from .core import (
     IntervalParams,
     MatrixStats,
     NegativeScore,
+    NotAnInteger,
     OracleBudgetExceeded,
     PointMatrix,
     RealizationReport,
@@ -57,6 +58,7 @@ __all__ = [
     "IntervalParams",
     "MatrixStats",
     "NegativeScore",
+    "NotAnInteger",
     "OracleBudgetExceeded",
     "OracleResult",
     "PointMatrix",

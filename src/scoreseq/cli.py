@@ -350,6 +350,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     mm_sizes = [int(s) for s in args.minimax_sizes.split(",") if s.strip()]
     if args.repeats < 1:
         raise ValueError(f"repeats {args.repeats} must be at least 1")
+    too_small = [n for n in sizes + mm_sizes if n < 2]
+    if too_small:
+        raise ValueError(f"bench sizes must be at least 2, got {too_small}")
 
     print("algorithm,n,d_max,seed,repeats,best_seconds,input_checksum")
     for name in algorithms:

@@ -15,6 +15,11 @@ top block of equal provisional scores so the prefix stays nondecreasing;
 then, when no slack is reachable, by plain forfeits that lower pair totals
 toward g.  Indices inside this module are 1-based to keep the prefix
 sentinel p[0] = 0 natural; the public matrices are 0-based.
+
+Each step builds the prefix slack once; a hand-out round to the block
+low..x patches the slack over the block, re-sorts only the block, and
+extends the room (suffix minima of the slack) down to the next block only.
+The slack is rebuilt once more when the quota is met and players unlock.
 """
 
 from __future__ import annotations
@@ -83,45 +88,39 @@ class SlicingState:
 
 
 def _rebuild_additional(p: list[int], k: int, a: int) -> list[int]:
-    """Room for hand-outs to players 1..k-1: suffix minima of the slack.
+    """Slack of the first i players for i < k: A[i] = P_i - a*B_i.
 
-    The slack of the first i players is A[i] = P_i - a*B_i, where P_i is the
-    prefix sum of p.  A hand-out to player i lowers every prefix sum from i
-    on, so the room left for player i is min(A[i], A[i+1], ..., A[k-1]), not
-    A[i] alone.
+    P_i is the prefix sum of p and B_i = i(i-1)/2 counts the pairs among
+    players 1..i, so A[i] - A[i-1] = p[i] - a*(i-1) and A[0] = 0.  Built when
+    a step starts and when its quota is met; hand-out rounds patch it.
     """
-    room = [0] * k
-    prefix = 0
-    pairs = 0
+    slack = [0] * k
     for i in range(1, k):
-        prefix += p[i]
-        pairs += i - 1
-        room[i] = prefix - a * pairs
-    for i in range(k - 2, 0, -1):
-        if room[i + 1] < room[i]:
-            room[i] = room[i + 1]
-    return room
+        slack[i] = slack[i - 1] + p[i] - a * (i - 1)
+    return slack
 
 
-def _restore_order(p: list[int], grid: list[list[int]], k: int) -> None:
-    """Re-sort players 1..k-1 by provisional score, carrying settled matches.
+def _restore_order(
+    p: list[int], grid: list[list[int]], k: int, low: int, high: int
+) -> None:
+    """Re-sort players low..high by provisional score, carrying settled matches.
 
     Matches among players 1..k-1 are still untouched placeholders, so two of
     them may swap identities freely as long as their already-settled columns
-    (everything from k on, including the column being built) swap too.
+    (everything from k on, including the column being built) swap too.  The
+    block's scores stay within p[low-1]..p[high+1], so a stable sort of the
+    block alone equals a stable sort of all of 1..k-1.
     """
-    if all(p[i] <= p[i + 1] for i in range(1, k - 1)):
+    if all(p[i] <= p[i + 1] for i in range(low, high)):
         return
     n = len(grid) - 1
-    order = sorted(range(1, k), key=lambda i: p[i])
-    old_p = p[1:k]
-    old_rows = [grid[i][k:] for i in range(1, k)]
-    old_cols = [[grid[t][i] for t in range(k, n + 1)] for i in range(1, k)]
-    for pos, src in enumerate(order, start=1):
-        p[pos] = old_p[src - 1]
-        grid[pos][k:] = old_rows[src - 1]
-        for off, t in enumerate(range(k, n + 1)):
-            grid[t][pos] = old_cols[src - 1][off]
+    order = sorted(range(low, high + 1), key=p.__getitem__)
+    moved = [(p[i], grid[i][k:], [grid[t][i] for t in range(k, n + 1)]) for i in order]
+    for pos, (score, row, col) in enumerate(moved, start=low):
+        p[pos] = score
+        grid[pos][k:] = row
+        for t, value in enumerate(col, start=k):
+            grid[t][pos] = value
 
 
 def score_slicing(state: SlicingState, params: IntervalParams) -> SlicingState:
@@ -147,7 +146,14 @@ def score_slicing(state: SlicingState, params: IntervalParams) -> SlicingState:
     missing = (k - 1) * b - p[k]
     if missing < 0:
         raise InfeasiblePrefix(f"score p[{k}]={p[k]} exceeds ({k - 1})*b={b * (k - 1)}")
-    room_after = _rebuild_additional(p, k, a)
+    # room_after[i] = min(slack[i..k-1]) caps a hand-out to player i.  Only
+    # slack below top and room_after on settled..top are kept current: lower
+    # room is filled in when a block reaches it, and the players above top
+    # are locked, so nothing reads their entries.
+    slack = _rebuild_additional(p, k, a)
+    room_after = slack[:]
+    settled = top = k - 1
+    spare = slack[k - 1]
 
     # Every pair total must end up at least a, so forfeits alone can shed at
     # most (k-1)*(b-a) points and this many must leave via hand-outs that
@@ -158,8 +164,8 @@ def score_slicing(state: SlicingState, params: IntervalParams) -> SlicingState:
 
     # Phase 1: hand surplus to players that still hold slack, top block first,
     # keeping the receiving pair totals pinned at b.
-    while missing > 0 and room_after[k - 1] > 0:
-        x = k - 1
+    while missing > 0 and spare > 0:
+        x = top
         while x >= 1 and (
             grid[x][k] == b or (deficit > 0 and grid[x][k] >= a)
         ):
@@ -169,6 +175,9 @@ def score_slicing(state: SlicingState, params: IntervalParams) -> SlicingState:
         low = x
         while low - 1 >= 1 and p[low - 1] == p[x]:
             low -= 1
+        while settled > low:
+            settled -= 1
+            room_after[settled] = min(slack[settled], room_after[settled + 1])
         freq = x - low + 1
         gap = p[x] - p[low - 1]
         per_member = min(
@@ -177,6 +186,7 @@ def score_slicing(state: SlicingState, params: IntervalParams) -> SlicingState:
         if per_member <= 0:
             break
         handed = 0
+        short = deficit > 0
         for idx in range(low, x + 1):
             if missing == 0:
                 break
@@ -201,8 +211,19 @@ def score_slicing(state: SlicingState, params: IntervalParams) -> SlicingState:
             handed += y
         if handed == 0:
             break
-        _restore_order(p, grid, k)
-        room_after = _rebuild_additional(p, k, a)
+        # per_member <= gap keeps the block between its neighbours, and every
+        # prefix sum from x on drops by exactly `handed`
+        _restore_order(p, grid, k, low, x)
+        spare -= handed
+        if short and deficit == 0:  # quota met: players above x unlock
+            slack = _rebuild_additional(p, k, a)
+            room_after = slack[:]
+            settled = top = k - 1
+            continue
+        for i in range(low, x):
+            slack[i] = slack[i - 1] + p[i] - a * (i - 1)
+        room_after[x] -= handed
+        settled = top = x
 
     # Phase 2: plain forfeits, lowering pair totals toward a.
     while missing > 0:
@@ -221,7 +242,6 @@ def score_slicing(state: SlicingState, params: IntervalParams) -> SlicingState:
                 f"pair total already at the floor {a}"
             )
 
-    _restore_order(p, grid, k)
     return SlicingState(k=k - 1, p=p[:k], grid=grid)
 
 

@@ -12,6 +12,7 @@ operations are pure functions and safe to call concurrently.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -36,6 +37,10 @@ class ShapeMismatch(TournamentError, ValueError):
     """A matrix and a score sequence disagree on the number of players."""
 
 
+class NotAnInteger(TournamentError, TypeError):
+    """Scores, matrix entries and window bounds must be integers, not bools."""
+
+
 class InfeasiblePrefix(TournamentError, RuntimeError):
     """The slicing step was handed a prefix it cannot settle.
 
@@ -53,14 +58,32 @@ def ceil_div(num: int, den: int) -> int:
     return -((-num) // den)
 
 
+def _as_int(value, what: str) -> int:
+    """value as a plain int if operator.index accepts it and it is no bool."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise NotAnInteger(f"{what} {value!r} is a {type(value).__name__}, not an integer")
+
+
+def _as_ints(values: Iterable, what: str) -> tuple[int, ...]:
+    values = tuple(values)
+    if set(map(type, values)) <= {int}:  # fast path: already plain ints
+        return values
+    return tuple(_as_int(v, what) for v in values)
+
+
 def _validate_scores(scores: Sequence[int], require_sorted: bool) -> None:
     if len(scores) < 2:
         raise InputTooShort(f"need at least 2 scores, got {len(scores)}")
-    for s in scores:
-        if s < 0:
-            raise NegativeScore(f"score {s} is negative")
-        if s > MAX_MAGNITUDE:
-            raise ValueError(f"score {s} exceeds supported magnitude {MAX_MAGNITUDE}")
+    if min(scores) < 0 or max(scores) > MAX_MAGNITUDE:
+        for s in scores:
+            if s < 0:
+                raise NegativeScore(f"score {s} is negative")
+            if s > MAX_MAGNITUDE:
+                raise ValueError(f"score {s} exceeds supported magnitude {MAX_MAGNITUDE}")
     if len(scores) > MAX_MAGNITUDE:
         raise ValueError("sequence length exceeds supported magnitude")
     if require_sorted and any(x > y for x, y in zip(scores, scores[1:])):
@@ -74,7 +97,7 @@ class ScoreSequence:
     scores: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scores", tuple(int(s) for s in self.scores))
+        object.__setattr__(self, "scores", _as_ints(self.scores, "score"))
         _validate_scores(self.scores, require_sorted=True)
 
     @property
@@ -102,7 +125,7 @@ class PointMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(v) for v in row) for row in self.entries)
+        rows = tuple(_as_ints(row, "matrix entry") for row in self.entries)
         object.__setattr__(self, "entries", rows)
         n = len(rows)
         if n < 2:
@@ -112,9 +135,9 @@ class PointMatrix:
                 raise ShapeMismatch(f"row {i} has length {len(row)}, expected {n}")
             if row[i] != 0:
                 raise ValueError(f"diagonal entry [{i}][{i}] = {row[i]} must be 0")
-            for j, v in enumerate(row):
-                if v < 0:
-                    raise ValueError(f"entry [{i}][{j}] = {v} is negative")
+            if min(row) < 0:
+                j = next(j for j, v in enumerate(row) if v < 0)
+                raise ValueError(f"entry [{i}][{j}] = {row[j]} is negative")
 
     @property
     def n(self) -> int:
@@ -136,6 +159,9 @@ class IntervalParams:
     b: int
 
     def __post_init__(self) -> None:
+        if type(self.a) is not int or type(self.b) is not int:
+            object.__setattr__(self, "a", _as_int(self.a, "a"))
+            object.__setattr__(self, "b", _as_int(self.b, "b"))
         if not 0 <= self.a <= self.b:
             raise ValueError(f"need 0 <= a <= b, got a={self.a}, b={self.b}")
 
@@ -196,8 +222,9 @@ def normalize_sequence(raw: Sequence[int]) -> tuple[ScoreSequence, tuple[int, ..
     Returns the sorted sequence and a permutation ``perm`` such that
     ``sorted[k] == raw[perm[k]]`` (stable: ties keep their original order).
 
-    Raises InputTooShort or NegativeScore for invalid input.
+    Raises InputTooShort, NegativeScore or NotAnInteger for invalid input.
     """
+    raw = _as_ints(raw, "score")
     _validate_scores(raw, require_sorted=False)
     order = sorted(range(len(raw)), key=lambda i: raw[i])
     return ScoreSequence(tuple(raw[i] for i in order)), tuple(order)

@@ -275,6 +275,20 @@ class TestBench:
         assert out == ""
         assert "repeats" in err
 
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            ("--algorithms", "min-f", "--sizes", "1"),
+            ("--algorithms", "interval-test", "--sizes", "10,1"),
+            ("--algorithms", "minimax", "--minimax-sizes", "1"),
+        ],
+    )
+    def test_size_below_two_fails_before_any_output(self, capsys, sizes):
+        code, out, err = invoke(capsys, "bench", *sizes, "--repeats", "1")
+        assert code == 2
+        assert out == ""
+        assert "at least 2" in err
+
     def test_unknown_algorithm_is_input_error(self, capsys):
         code, _, err = invoke(capsys, "bench", "--algorithms", "quantum")
         assert code == 2

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -19,6 +20,8 @@ from scoreseq import (
     score_slicing,
     verify_realization,
 )
+from scoreseq.cli import generate_scores
+from scoreseq.construct import _restore_order
 
 from golden import SCORES_SIX, TABLE_BALANCED
 
@@ -125,6 +128,49 @@ class TestScoreSlicing:
             score_slicing(state, IntervalParams(0, 2))
 
 
+def _full_relabel(p, grid, k):
+    """Reference relabel: a stable sort of all of players 1..k-1 by score."""
+    n = len(grid) - 1
+    order = sorted(range(1, k), key=lambda i: p[i])
+    old_p = p[:]
+    old = [row[:] for row in grid]
+    for pos, src in enumerate(order, start=1):
+        p[pos] = old_p[src]
+        grid[pos][k:] = old[src][k:]
+        for t in range(k, n + 1):
+            grid[t][pos] = old[t][src]
+
+
+class TestRestoreOrder:
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_block_sort_equals_full_sort(self, data):
+        # a sorted prefix with a tie block low..x whose members each lose at
+        # most p[x] - p[low-1], as a hand-out round leaves it
+        below = sorted(data.draw(st.lists(st.integers(0, 20), max_size=6)))
+        floor = below[-1] if below else 0
+        v = data.draw(st.integers(floor, 25))
+        size = data.draw(st.integers(1, 5))
+        above = sorted(data.draw(st.lists(st.integers(v, 30), max_size=5)))
+        cuts = data.draw(
+            st.lists(st.integers(0, v - floor), min_size=size, max_size=size)
+        )
+        low = len(below) + 1
+        x = low + size - 1
+        p = [0, *below, *(v - c for c in cuts), *above]
+        k = len(p)
+        p.append(data.draw(st.integers(0, 40)))
+        n = k + data.draw(st.integers(0, 3))
+        # distinct entries, so any misplaced row or column shows
+        grid = [[100 * i + j for j in range(n + 1)] for i in range(n + 1)]
+
+        p_block, grid_block = p[:], [row[:] for row in grid]
+        _restore_order(p_block, grid_block, k, low, x)
+        _full_relabel(p, grid, k)
+        assert p_block == p
+        assert grid_block == grid
+
+
 class TestMiniMax:
     def test_six_player_window_and_extremes(self):
         summary, M = mini_max(ScoreSequence(SCORES_SIX))
@@ -193,6 +239,34 @@ class TestMiniMax:
                 assert stats.min_pair_total == summary.g, seq
                 checked += 1
         assert checked == 6711
+
+    # SHA-256 of repr(M.entries), pinned from the rescanning slicing step
+    # that preceded the incremental bookkeeping; the matrices must not change
+    GOLDEN_CRITERION_6 = (
+        "245d981ed544053688a0d3060d5901f94ccacf7b4288ed24d1c240f69d726a10"
+    )
+    GOLDEN_BENCH = {
+        100: "9c104e25e9a5d3e8f6ed434c5bca38f9a8bdefcf4755afc4cb18e4c78672bf0a",
+        200: "f8790df4455b3477663ef6b96c33f2984b73b91118372b85fe6064d830008919",
+        400: "7c64dee95888d8395b672835dc9ba638c833b6d557c5f448af5e222b775ff26a",
+    }
+
+    def test_golden_digest_criterion_6_sequences(self):
+        rng = random.Random(20260809)
+        digest = hashlib.sha256()
+        for _ in range(500):
+            n = rng.randint(2, 12)
+            top = rng.randint(0, 30)
+            D = ScoreSequence(tuple(sorted(rng.randint(0, top) for _ in range(n))))
+            _, M = mini_max(D)
+            digest.update(repr(M.entries).encode())
+        assert digest.hexdigest() == self.GOLDEN_CRITERION_6
+
+    @pytest.mark.parametrize("n", sorted(GOLDEN_BENCH))
+    def test_golden_digest_bench_sizes(self, n):
+        _, M = mini_max(generate_scores(n, 2 * n, 42))
+        digest = hashlib.sha256(repr(M.entries).encode()).hexdigest()
+        assert digest == self.GOLDEN_BENCH[n]
 
     @given(sequences)
     @settings(max_examples=150, deadline=None)

@@ -6,9 +6,11 @@ from scoreseq import (
     InputTooShort,
     IntervalParams,
     NegativeScore,
+    NotAnInteger,
     PointMatrix,
     ScoreSequence,
     ShapeMismatch,
+    TournamentError,
     ceil_div,
     matrix_stats,
     normalize_sequence,
@@ -96,6 +98,74 @@ class TestPointMatrix:
 
     def test_row_sums(self):
         assert PointMatrix.from_rows(TABLE_WIDE).row_sums() == SCORES_SIX
+
+
+class _Index:
+    """An integer-like value that is not an int, accepted via __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+non_integers = st.one_of(
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.decimals(allow_nan=False),
+    st.fractions(),
+    st.text(max_size=3),
+    st.none(),
+)
+
+
+class TestIntegerContract:
+    def test_float_scores_are_rejected_not_truncated(self):
+        with pytest.raises(NotAnInteger):
+            ScoreSequence((1.5, 2.9))
+
+    def test_bool_score_is_rejected(self):
+        with pytest.raises(NotAnInteger):
+            ScoreSequence((True, 2))
+
+    def test_float_matrix_entries_are_rejected(self):
+        with pytest.raises(NotAnInteger):
+            PointMatrix([[0, 1.7], [0.2, 0]])
+
+    def test_float_window_is_rejected(self):
+        with pytest.raises(NotAnInteger):
+            IntervalParams(1.5, 2.5)
+
+    def test_error_is_a_type_error_and_a_tournament_error(self):
+        with pytest.raises(NotAnInteger) as info:
+            normalize_sequence([2, 1.0])
+        assert isinstance(info.value, TypeError)
+        assert isinstance(info.value, TournamentError)
+
+    def test_index_types_are_accepted_as_plain_ints(self):
+        D = ScoreSequence((_Index(1), 2))
+        assert D.scores == (1, 2)
+        assert all(type(s) is int for s in D.scores)
+        M = PointMatrix([[0, _Index(1)], [2, 0]])
+        assert M.entries == ((0, 1), (2, 0))
+        assert IntervalParams(_Index(0), _Index(3)) == IntervalParams(0, 3)
+
+    @given(score_lists, st.data())
+    def test_no_invalid_value_round_trips(self, raw, data):
+        bad = data.draw(non_integers)
+        pos = data.draw(st.integers(0, len(raw) - 1))
+        raw[pos] = bad
+        with pytest.raises(NotAnInteger):
+            normalize_sequence(raw)
+        with pytest.raises(NotAnInteger):
+            ScoreSequence(tuple(raw))
+        rows = [[0] * len(raw) for _ in raw]
+        rows[pos][(pos + 1) % len(raw)] = bad
+        with pytest.raises(NotAnInteger):
+            PointMatrix.from_rows(rows)
+        with pytest.raises(NotAnInteger):
+            IntervalParams(bad, 10**6)
 
 
 class TestMatrixStats:
