@@ -15,7 +15,6 @@ from .analysis import (
     min_f,
 )
 from .construct import (
-    SlicingState,
     mini_max,
     naive_construct,
     pigeonhole_construct,
@@ -65,7 +64,6 @@ __all__ = [
     "RealizationReport",
     "ScoreSequence",
     "ShapeMismatch",
-    "SlicingState",
     "SweepReport",
     "TournamentError",
     "__version__",

@@ -16,15 +16,17 @@ then, when no slack is reachable, by plain forfeits that lower pair totals
 toward g.  Indices inside this module are 1-based to keep the prefix
 sentinel p[0] = 0 natural; the public matrices are 0-based.
 
-Each step builds the prefix slack once; a hand-out round to the block
-low..x patches the slack over the block, re-sorts only the block, and
-extends the room (suffix minima of the slack) down to the next block only.
-The slack is rebuilt once more when the quota is met and players unlock.
+All steps work in place on one 1-based working matrix and one prefix list:
+step k settles row and column k and leaves the reduced prefix in p[1..k-1]
+for step k-1.  Each step builds the prefix slack once; a hand-out round to
+the block low..x patches the slack over the block, re-sorts only the block,
+and extends the room (suffix minima of the slack) down to the next block
+only.  The slack is rebuilt once more when the quota is met and players
+unlock.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .analysis import extremal_summary
@@ -34,8 +36,9 @@ from .core import (
     IntervalParams,
     PointMatrix,
     ScoreSequence,
+    _as_ints,
+    _validate_scores,
     ceil_div,
-    normalize_sequence,
 )
 
 
@@ -45,7 +48,8 @@ def naive_construct(raw: Sequence[int]) -> PointMatrix:
     Accepts any order; sorting is not required.  Row sums equal the input
     and no entry exceeds the largest input score.
     """
-    normalize_sequence(raw)  # reuse the length/negativity validation
+    raw = _as_ints(raw, "score")
+    _validate_scores(raw)
     n = len(raw)
     grid = [[0] * n for _ in range(n)]
     grid[n - 1][0] = raw[n - 1]
@@ -73,31 +77,16 @@ def pigeonhole_construct(D: ScoreSequence) -> PointMatrix:
     return PointMatrix.from_rows(grid)
 
 
-@dataclass
-class SlicingState:
-    """Mutable progress of the minimax reconstruction.
-
-    k: players still unsettled (matches among 1..k remain open).
-    p: provisional scores p[1..k] with sentinel p[0] = 0, nondecreasing.
-    grid: 1-based (n+1) x (n+1) working matrix; row 0 / column 0 unused.
-    """
-
-    k: int
-    p: list[int]
-    grid: list[list[int]]
-
-
-def _rebuild_additional(p: list[int], k: int, a: int) -> list[int]:
-    """Slack of the first i players for i < k: A[i] = P_i - a*B_i.
+def _fill_slack(slack: list[int], p: list[int], a: int, start: int, stop: int) -> None:
+    """Set slack[i] = P_i - a*B_i, the slack of players 1..i, for start <= i < stop.
 
     P_i is the prefix sum of p and B_i = i(i-1)/2 counts the pairs among
-    players 1..i, so A[i] - A[i-1] = p[i] - a*(i-1) and A[0] = 0.  Built when
-    a step starts and when its quota is met; hand-out rounds patch it.
+    players 1..i, so A[i] - A[i-1] = p[i] - a*(i-1) and A[0] = 0; slack[start-1]
+    must already be current.  Filled over 1..k-1 when a step starts and when
+    its quota is met; a hand-out round refills only its block.
     """
-    slack = [0] * k
-    for i in range(1, k):
+    for i in range(start, stop):
         slack[i] = slack[i - 1] + p[i] - a * (i - 1)
-    return slack
 
 
 def _restore_order(
@@ -123,22 +112,24 @@ def _restore_order(
             grid[t][pos] = value
 
 
-def score_slicing(state: SlicingState, params: IntervalParams) -> SlicingState:
-    """Settle all matches of player k against players 1..k-1.
+def score_slicing(
+    k: int, p: list[int], grid: list[list[int]], params: IntervalParams
+) -> None:
+    """Settle all matches of player k against players 1..k-1, in place.
 
-    Expects row k primed at b and column k at 0 for the open matches, and a
+    p holds the provisional scores p[1..k] after the sentinel p[0] = 0, and
+    grid is the 1-based working matrix (row 0 and column 0 unused).  Expects
+    row k primed at b and column k at 0 for the open matches, and a
     nondecreasing prefix p[1..k] that is realizable within [a, b].  On
     return, player k's matches sum to p[k] with every pair total in [a, b],
-    and the returned state holds the reduced nondecreasing prefix p[1..k-1]
-    (p_i minus the points handed to player i); when hand-outs had to skip a
-    locked player, lower players are relabeled to keep the prefix sorted.
+    and p[1..k-1] is the reduced nondecreasing prefix (p_i minus the points
+    handed to player i); when hand-outs had to skip a locked player, lower
+    players are relabeled, rows and settled columns of grid included, to
+    keep the prefix sorted.  Entries of p from k on are left as they were.
 
     Raises InfeasiblePrefix if the surplus cannot be shed, which indicates
     the caller skipped the realizability test.
     """
-    k = state.k
-    p = state.p
-    grid = state.grid
     a, b = params.a, params.b
     if k < 3:
         raise ValueError(f"slicing needs at least 3 unsettled players, got {k}")
@@ -150,7 +141,8 @@ def score_slicing(state: SlicingState, params: IntervalParams) -> SlicingState:
     # slack below top and room_after on settled..top are kept current: lower
     # room is filled in when a block reaches it, and the players above top
     # are locked, so nothing reads their entries.
-    slack = _rebuild_additional(p, k, a)
+    slack = [0] * k
+    _fill_slack(slack, p, a, 1, k)
     room_after = slack[:]
     settled = top = k - 1
     spare = slack[k - 1]
@@ -216,12 +208,11 @@ def score_slicing(state: SlicingState, params: IntervalParams) -> SlicingState:
         _restore_order(p, grid, k, low, x)
         spare -= handed
         if short and deficit == 0:  # quota met: players above x unlock
-            slack = _rebuild_additional(p, k, a)
+            _fill_slack(slack, p, a, 1, k)
             room_after = slack[:]
             settled = top = k - 1
             continue
-        for i in range(low, x):
-            slack[i] = slack[i - 1] + p[i] - a * (i - 1)
+        _fill_slack(slack, p, a, low, x)
         room_after[x] -= handed
         settled = top = x
 
@@ -242,8 +233,6 @@ def score_slicing(state: SlicingState, params: IntervalParams) -> SlicingState:
                 f"pair total already at the floor {a}"
             )
 
-    return SlicingState(k=k - 1, p=p[:k], grid=grid)
-
 
 def mini_max(D: ScoreSequence) -> tuple[ExtremalSummary, PointMatrix]:
     """Build a realization of D whose pair totals all lie in [g, f].
@@ -262,13 +251,12 @@ def mini_max(D: ScoreSequence) -> tuple[ExtremalSummary, PointMatrix]:
             grid[i][j] = b
     p = [0, *D.scores]
 
-    state = SlicingState(k=n, p=p, grid=grid)
     params = IntervalParams(a, b)
-    while state.k >= 3:
-        state = score_slicing(state, params)
+    for k in range(n, 2, -1):
+        score_slicing(k, p, grid, params)
 
-    grid[1][2] = state.p[1]
-    grid[2][1] = state.p[2]
+    grid[1][2] = p[1]
+    grid[2][1] = p[2]
 
     rows = [row[1:] for row in grid[1:]]
     sums = [sum(row) for row in rows]

@@ -75,19 +75,17 @@ def _as_ints(values: Iterable, what: str) -> tuple[int, ...]:
     return tuple(_as_int(v, what) for v in values)
 
 
-def _validate_scores(scores: Sequence[int], require_sorted: bool) -> None:
+def _validate_scores(scores: Sequence[int]) -> None:
+    """Check n >= 2 and 0 <= d <= MAX_MAGNITUDE, naming the most extreme bad score."""
     if len(scores) < 2:
         raise InputTooShort(f"need at least 2 scores, got {len(scores)}")
-    if min(scores) < 0 or max(scores) > MAX_MAGNITUDE:
-        for s in scores:
-            if s < 0:
-                raise NegativeScore(f"score {s} is negative")
-            if s > MAX_MAGNITUDE:
-                raise ValueError(f"score {s} exceeds supported magnitude {MAX_MAGNITUDE}")
+    lowest, highest = min(scores), max(scores)
+    if lowest < 0:
+        raise NegativeScore(f"score {lowest} is negative")
+    if highest > MAX_MAGNITUDE:
+        raise ValueError(f"score {highest} exceeds supported magnitude {MAX_MAGNITUDE}")
     if len(scores) > MAX_MAGNITUDE:
         raise ValueError("sequence length exceeds supported magnitude")
-    if require_sorted and any(x > y for x, y in zip(scores, scores[1:])):
-        raise ValueError("scores must be nondecreasing; use normalize_sequence first")
 
 
 @dataclass(frozen=True)
@@ -97,8 +95,13 @@ class ScoreSequence:
     scores: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scores", _as_ints(self.scores, "score"))
-        _validate_scores(self.scores, require_sorted=True)
+        s = _as_ints(self.scores, "score")
+        object.__setattr__(self, "scores", s)
+        _validate_scores(s)
+        if not all(map(operator.le, s, s[1:])):
+            raise ValueError(
+                "scores must be nondecreasing; use normalize_sequence first"
+            )
 
     @property
     def n(self) -> int:
@@ -225,9 +228,8 @@ def normalize_sequence(raw: Sequence[int]) -> tuple[ScoreSequence, tuple[int, ..
     Raises InputTooShort, NegativeScore or NotAnInteger for invalid input.
     """
     raw = _as_ints(raw, "score")
-    _validate_scores(raw, require_sorted=False)
-    order = sorted(range(len(raw)), key=lambda i: raw[i])
-    return ScoreSequence(tuple(raw[i] for i in order)), tuple(order)
+    order = tuple(sorted(range(len(raw)), key=raw.__getitem__))
+    return ScoreSequence(tuple(map(raw.__getitem__, order))), order
 
 
 def matrix_stats(M: PointMatrix) -> MatrixStats:

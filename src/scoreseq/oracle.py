@@ -98,10 +98,9 @@ def enumerate_extremes(
         raise ValueError(f"need 0 <= a_floor <= pair_cap, got {a_floor}, {pair_cap}")
     if n > MAX_ORACLE_PLAYERS:
         raise OracleBudgetExceeded(f"{n} players is beyond exhaustive reach")
-    if _estimated_states(D, pair_cap) > budget:
-        raise OracleBudgetExceeded(
-            f"state estimate {_estimated_states(D, pair_cap)} exceeds budget {budget}"
-        )
+    estimate = _estimated_states(D, pair_cap)
+    if estimate > budget:
+        raise OracleBudgetExceeded(f"state estimate {estimate} exceeds budget {budget}")
 
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     rem = list(D.scores)
@@ -234,7 +233,8 @@ def sweep(
       (pair_cap = 2 * ceil(d_n / (n - 1)), exact as the module docstring
       shows);
     * realizability of every window (a, b) with b up to one past the
-      evenly-spread bound, against interval_test;
+      evenly-spread bound, against interval_test; the window (0, 2h) reuses
+      the search above instead of running it again;
     * interval_test on the diagonal windows against landau_test/moon_test.
 
     Returns a report whose ``mismatches`` must be empty.
@@ -274,10 +274,13 @@ def sweep(
 
             for b in range(0, 2 * h + 2):
                 for a in range(0, b + 1):
-                    found = enumerate_extremes(
-                        D, pair_cap=b, a_floor=a, budget=budget,
-                        keep_witness=False,
-                    ).realizable
+                    if (a, b) == (0, 2 * h):
+                        found = full.realizable
+                    else:
+                        found = enumerate_extremes(
+                            D, pair_cap=b, a_floor=a, budget=budget,
+                            keep_witness=False,
+                        ).realizable
                     fast = interval_test(D, IntervalParams(a, b))
                     comparisons += 1
                     if found != fast:

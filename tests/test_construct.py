@@ -10,7 +10,6 @@ from scoreseq import (
     InfeasiblePrefix,
     IntervalParams,
     ScoreSequence,
-    SlicingState,
     bound_e,
     extremal_summary,
     matrix_stats,
@@ -82,20 +81,20 @@ class TestPigeonholeConstruct:
 
 
 def _primed_state(scores, b):
+    """(k, p, grid) as mini_max hands them to its first slicing step."""
     n = len(scores)
     grid = [[0] * (n + 1) for _ in range(n + 1)]
     for i in range(1, n + 1):
         for j in range(1, i):
             grid[i][j] = b
-    return SlicingState(k=n, p=[0, *scores], grid=grid)
+    return n, [0, *scores], grid
 
 
 class TestScoreSlicing:
     def test_six_player_first_slice(self):
-        state = _primed_state(SCORES_SIX, b=9)
-        state = score_slicing(state, IntervalParams(8, 9))
-        assert state.p == [0, 9, 9, 19, 20, 23]
-        grid = state.grid
+        k, p, grid = _primed_state(SCORES_SIX, b=9)
+        assert score_slicing(k, p, grid, IntervalParams(8, 9)) is None
+        assert p[:k] == [0, 9, 9, 19, 20, 23]
         assert grid[5][6] == 9
         assert grid[6][5] == 0
         assert grid[6][4] == 8
@@ -104,28 +103,28 @@ class TestScoreSlicing:
         assert grid[6][1] == 9
 
     def test_six_player_second_slice(self):
-        state = _primed_state(SCORES_SIX, b=9)
+        k, p, grid = _primed_state(SCORES_SIX, b=9)
         params = IntervalParams(8, 9)
-        state = score_slicing(state, params)
-        state = score_slicing(state, params)
-        assert state.p == [0, 9, 9, 15, 15]
+        score_slicing(k, p, grid, params)
+        score_slicing(k - 1, p, grid, params)
+        assert p[: k - 1] == [0, 9, 9, 15, 15]
 
     def test_zero_case(self):
-        state = _primed_state((0, 0, 0), b=0)
-        state = score_slicing(state, IntervalParams(0, 0))
-        assert state.p == [0, 0, 0]
-        assert all(v == 0 for row in state.grid for v in row)
+        k, p, grid = _primed_state((0, 0, 0), b=0)
+        score_slicing(k, p, grid, IntervalParams(0, 0))
+        assert p[:k] == [0, 0, 0]
+        assert all(v == 0 for row in grid for v in row)
 
     def test_infeasible_score_raises(self):
         # player 3 holds more points than two matches can carry
-        state = _primed_state((0, 0, 7), b=3)
+        k, p, grid = _primed_state((0, 0, 7), b=3)
         with pytest.raises(InfeasiblePrefix):
-            score_slicing(state, IntervalParams(0, 3))
+            score_slicing(k, p, grid, IntervalParams(0, 3))
 
     def test_needs_three_open_players(self):
-        state = _primed_state((1, 1), b=2)
+        k, p, grid = _primed_state((1, 1), b=2)
         with pytest.raises(ValueError):
-            score_slicing(state, IntervalParams(0, 2))
+            score_slicing(k, p, grid, IntervalParams(0, 2))
 
 
 def _full_relabel(p, grid, k):

@@ -13,6 +13,7 @@ from scoreseq import (
     TournamentError,
     ceil_div,
     matrix_stats,
+    naive_construct,
     normalize_sequence,
     verify_realization,
 )
@@ -51,6 +52,25 @@ class TestNormalizeSequence:
     def test_magnitude_guard(self):
         with pytest.raises(ValueError):
             normalize_sequence([0, 10**9 + 1])
+
+    @pytest.mark.parametrize(
+        "raw, error, text",
+        [
+            ([3, -1, -5], NegativeScore, "score -5 is negative"),
+            ([10**10, -1], NegativeScore, "score -1 is negative"),
+            ([0, 10**9 + 1], ValueError, "exceeds supported magnitude"),
+            ([5], InputTooShort, "got 1"),
+        ],
+    )
+    def test_bad_input_fails_like_naive_construct(self, raw, error, text):
+        # one check path: the same class and message whichever entry point
+        with pytest.raises(error) as sorted_info:
+            normalize_sequence(raw)
+        with pytest.raises(error) as naive_info:
+            naive_construct(raw)
+        assert type(sorted_info.value) is type(naive_info.value)
+        assert str(sorted_info.value) == str(naive_info.value)
+        assert text in str(naive_info.value)
 
     @given(score_lists)
     def test_idempotent(self, raw):
@@ -158,6 +178,8 @@ class TestIntegerContract:
         raw[pos] = bad
         with pytest.raises(NotAnInteger):
             normalize_sequence(raw)
+        with pytest.raises(NotAnInteger):
+            naive_construct(raw)
         with pytest.raises(NotAnInteger):
             ScoreSequence(tuple(raw))
         rows = [[0] * len(raw) for _ in raw]

@@ -6,6 +6,7 @@ from scoreseq import (
     IntervalParams,
     OracleBudgetExceeded,
     ScoreSequence,
+    SweepReport,
     enumerate_extremes,
     interval_test,
     landau_test,
@@ -13,6 +14,7 @@ from scoreseq import (
     sweep,
     verify_realization,
 )
+from scoreseq import oracle
 
 from golden import SCORES_SIX
 
@@ -124,3 +126,21 @@ class TestSweep:
         assert report.sequences == 16
         assert report.clean
         assert report.comparisons > report.sequences
+
+    def test_one_search_per_window(self, monkeypatch):
+        # the window (0, 2h) is the full search's own space, so it is not
+        # searched a second time: 195 - 16 sequences = 179 calls
+        calls = 0
+        search = oracle.enumerate_extremes
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "enumerate_extremes", counting)
+        report = sweep(3, 2)
+        assert calls == 179
+        assert report == SweepReport(
+            sequences=16, by_length={2: 6, 3: 10}, comparisons=307
+        )
