@@ -1,24 +1,39 @@
 """Exhaustive ground truth for small instances, plus classical cross-checks.
 
-The enumerator walks every point matrix with the given score sequence whose
-pair totals lie in [a_floor, pair_cap], by depth-first search over the
-unordered pairs in lexicographic order.  Within a pair it tries totals in
-ascending order and, for each total, ascending splits.  Row sums prune the
-search: once the last pair of a row is placed the row must be exactly
-spent.  The walk is deterministic, so counts are reproducible.
+One depth-first walk visits every point matrix with the given score sequence
+whose pair totals lie in [a_floor, pair_cap], over the unordered pairs in
+lexicographic order.  Within a pair it tries totals in ascending order and,
+for each total, ascending splits.  Row sums prune the search: once the last
+pair of a row is placed the row must be exactly spent.  The walk is
+deterministic, so counts are reproducible.  ``enumerate_extremes`` counts
+every realization the walk reaches; ``sweep`` walks each sequence once and
+keeps only the Pareto frontier of (F, G, E): largest pair total, smallest pair
+total and largest entry, with F and E as small and G as large as possible.
 
 Any realization has every pair total at most d_{n-1} + d_n, so pair_cap =
 2 * d_n makes the searched space the whole realization space.  The sweep
-uses the cheaper cap C = 2 * ceil(d_n/(n-1)) and stays exact anyway:
+uses the cheaper cap C = 2h + 1, where h = ceil(d_n/(n-1)) = e, and stays
+exact anyway:
 
-* if the capped space is nonempty, its smallest max-pair-total equals the
-  true optimum f, because a realization attaining a smaller F would have
-  every total below C and hence live inside the space;
-* the same self-consistency gives the smallest max entry e;
+* the evenly-spread construction has F <= 2h, so a realization attaining the
+  optimum f has every total below C and lives inside the space; the smallest
+  F found is f (the sweep reports a mismatch if none is at most 2h);
+* a realization attaining e = h has F <= 2e < C, so the smallest E found is e;
 * for the largest min-pair-total, points exchanged among the bottom k
   players come out of their own scores, so B_k * G <= S_k for every
   realization; when the capped maximum reaches min_k floor(S_k / B_k) it
-  is therefore the unconstrained maximum g as well.
+  is therefore the unconstrained maximum g as well;
+* a window [a, b] with b <= C is realizable exactly when some realization has
+  F <= b and G >= a, all of which lie inside the space; a frontier point
+  dominating such a realization meets both bounds, so the frontier answers
+  every such window.
+
+The frontier walk cuts a branch once a point already found dominates the
+running values of its partial matrix (F' <= F, G' >= G, E' <= E).  That is
+sound because the pairs still to be placed can only raise F and E and lower
+G, so every realization below the cut is dominated as well; dominance is
+transitive, so dropping the points a new leaf dominates keeps the frontier
+exact.
 
 ``landau_test`` and ``moon_test`` are the classical characterizations of
 score sequences of ordinary (one point per match) and c-point-per-match
@@ -29,6 +44,7 @@ diagonal windows (1,1) and (c,c).
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from math import comb
 
@@ -73,23 +89,24 @@ def _estimated_states(D: ScoreSequence, pair_cap: int) -> int:
     return est
 
 
-def enumerate_extremes(
+def _walk(
     D: ScoreSequence,
     pair_cap: int,
-    a_floor: int = 0,
-    budget: int = DEFAULT_BUDGET,
-    keep_witness: bool = True,
-) -> OracleResult:
-    """Exhaust all realizations of D with pair totals in [a_floor, pair_cap].
+    a_floor: int,
+    budget: int,
+    leaf: Callable[[list[list[int]], int, int, int], None],
+    cut: Callable[[int, int, int], bool] | None = None,
+) -> None:
+    """Depth-first walk over every realization of D with pair totals in
+    [a_floor, pair_cap].
 
-    A pair_cap below ceil(d_n/(n-1)) leaves no room for the top row, so the
-    searched space is empty and the result is (correctly) not realizable;
-    for exact f/g/e extraction call with pair_cap = 2 * d_n, which contains
-    every realization.
+    At each complete realization it calls ``leaf(grid, F, G, E)`` with the
+    largest pair total F, the smallest pair total G and the largest entry E.
+    Each pair state gets the running (F, G, E) of the partial matrix; if
+    ``cut`` returns true for it, the branch below is skipped.
 
-    Raises OracleBudgetExceeded when the instance is too large (more than
-    six players, or the state estimate / actual visited states exceed the
-    budget).
+    Raises OracleBudgetExceeded beyond six players, or when the state
+    estimate or the visited pair states exceed the budget.
     """
     n = D.n
     if pair_cap < 0:
@@ -105,29 +122,14 @@ def enumerate_extremes(
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     rem = list(D.scores)
     grid = [[0] * n for _ in range(n)]
-
-    state = {
-        "visited": 0,
-        "count": 0,
-        "min_F": None,
-        "max_G": None,
-        "min_E": None,
-        "witness": None,
-    }
+    visited = 0
 
     def dfs(depth: int, cur_max_total: int, cur_min_total: int, cur_max_entry: int):
+        nonlocal visited
         if depth == len(pairs):
-            if rem[n - 1] != 0:
-                return  # rows 0..n-2 are enforced pairwise; the last is not
-            state["count"] += 1
-            if state["min_F"] is None or cur_max_total < state["min_F"]:
-                state["min_F"] = cur_max_total
-            if state["max_G"] is None or cur_min_total > state["max_G"]:
-                state["max_G"] = cur_min_total
-            if state["min_E"] is None or cur_max_entry < state["min_E"]:
-                state["min_E"] = cur_max_entry
-            if keep_witness and state["witness"] is None:
-                state["witness"] = PointMatrix.from_rows(grid)
+            # every row is spent: row i closes at its pair (i, n-1), and the
+            # capacity cut leaves row n-1 no room at the last pair (n-2, n-1)
+            leaf(grid, cur_max_total, cur_min_total, cur_max_entry)
             return
         i, j = pairs[depth]
         # last pair of row i is (i, n-1); beyond it rem[i] must be spent
@@ -149,38 +151,109 @@ def enumerate_extremes(
                 if rem[i] < lo or rem[i] > hi:
                     continue
                 lo = hi = rem[i]
+            max_total = max(cur_max_total, total)
+            min_total = min(cur_min_total, total)
             for mij in range(lo, hi + 1):
-                state["visited"] += 1
-                if state["visited"] > budget:
+                visited += 1
+                if visited > budget:
                     raise OracleBudgetExceeded(
                         f"visited more than {budget} pair states"
                     )
                 mji = total - mij
+                max_entry = max(cur_max_entry, mij, mji)
+                if cut is not None and cut(max_total, min_total, max_entry):
+                    continue
                 grid[i][j] = mij
                 grid[j][i] = mji
                 rem[i] -= mij
                 rem[j] -= mji
-                dfs(
-                    depth + 1,
-                    max(cur_max_total, total),
-                    min(cur_min_total, total),
-                    max(cur_max_entry, mij, mji),
-                )
+                dfs(depth + 1, max_total, min_total, max_entry)
                 rem[i] += mij
                 rem[j] += mji
 
-    sentinel = pair_cap + 1
-    dfs(0, -1, sentinel, 0)
+    dfs(0, -1, pair_cap + 1, 0)
+
+
+def enumerate_extremes(
+    D: ScoreSequence,
+    pair_cap: int,
+    a_floor: int = 0,
+    budget: int = DEFAULT_BUDGET,
+    keep_witness: bool = True,
+) -> OracleResult:
+    """Exhaust all realizations of D with pair totals in [a_floor, pair_cap].
+
+    A pair_cap below ceil(d_n/(n-1)) leaves no room for the top row, so the
+    searched space is empty and the result is (correctly) not realizable;
+    for exact f/g/e extraction call with pair_cap = 2 * d_n, which contains
+    every realization.
+
+    Raises OracleBudgetExceeded when the instance is too large (more than
+    six players, or the state estimate / actual visited states exceed the
+    budget).
+    """
+    count = 0
+    min_F = max_G = min_E = None
+    witness = None
+
+    def leaf(grid: list[list[int]], F: int, G: int, E: int) -> None:
+        nonlocal count, min_F, max_G, min_E, witness
+        count += 1
+        if min_F is None or F < min_F:
+            min_F = F
+        if max_G is None or G > max_G:
+            max_G = G
+        if min_E is None or E < min_E:
+            min_E = E
+        if keep_witness and witness is None:
+            witness = PointMatrix.from_rows(grid)
+
+    _walk(D, pair_cap, a_floor, budget, leaf)
     # complete matrices always have n >= 2, so at least one pair updated the
     # running extremes whenever count > 0
     return OracleResult(
-        realizable=state["count"] > 0,
-        count=state["count"],
-        min_F=state["min_F"],
-        max_G=state["max_G"],
-        min_E=state["min_E"],
-        witness=state["witness"],
+        realizable=count > 0,
+        count=count,
+        min_F=min_F,
+        max_G=max_G,
+        min_E=min_E,
+        witness=witness,
     )
+
+
+def _frontier(
+    D: ScoreSequence, pair_cap: int, budget: int
+) -> list[tuple[int, int, int]]:
+    """Pareto set of (F, G, E) over every realization of D with pair totals
+    at most pair_cap: F and E as small, G as large as possible.
+
+    A branch is cut once a point found already dominates its running values
+    (F' <= F, G' >= G, E' <= E); the module docstring shows why that is sound.
+    """
+    points: list[tuple[int, int, int]] = []
+
+    def dominated(F: int, G: int, E: int) -> bool:
+        for f, g, e in points:
+            if f <= F and g >= G and e <= E:
+                return True
+        return False
+
+    def leaf(grid: list[list[int]], F: int, G: int, E: int) -> None:
+        # the cut let (F, G, E) through, so no point dominates it
+        points[:] = [
+            (f, g, e) for f, g, e in points if not (F <= f and G >= g and E <= e)
+        ]
+        points.append((F, G, E))
+
+    _walk(D, pair_cap, 0, budget, leaf, dominated)
+    return points
+
+
+def _in_window(points: list[tuple[int, int, int]], a: int, b: int) -> bool:
+    """Whether the realizations behind a frontier include one with every pair
+    total in [a, b]: it needs F <= b and G >= a, and a point dominating it
+    meets both."""
+    return any(F <= b and G >= a for F, G, _ in points)
 
 
 def landau_test(D: ScoreSequence) -> bool:
@@ -227,18 +300,20 @@ def sweep(
     """Compare the analysis formulas against exhaustion on every small sequence.
 
     For each nondecreasing sequence with 2 <= n <= n_max and entries up to
-    d_max this checks:
+    d_max, one frontier walk at pair_cap = 2h + 1 (h = ceil(d_n / (n - 1)),
+    exact as the module docstring shows) feeds these checks:
 
-    * exhaustive min F / max G / min E against min_f, max_g, bound_e
-      (pair_cap = 2 * ceil(d_n / (n - 1)), exact as the module docstring
-      shows);
+    * exhaustive min F / max G / min E against min_f, max_g, bound_e;
     * realizability of every window (a, b) with b up to one past the
-      evenly-spread bound, against interval_test; the window (0, 2h) reuses
-      the search above instead of running it again;
+      evenly-spread bound 2h, against interval_test;
     * interval_test on the diagonal windows against landau_test/moon_test.
 
+    The state estimate is checked at the largest window's cap 2h + 1, and
+    the visited budget counts the pair states of the cut walk.
     Returns a report whose ``mismatches`` must be empty.
     """
+    if n_max < 2 or d_max < 0:
+        raise ValueError(f"need n_max >= 2 and d_max >= 0, got {n_max}, {d_max}")
     mismatches: list[str] = []
     comparisons = 0
     by_length: dict[int, int] = {}
@@ -250,37 +325,26 @@ def sweep(
             summary = extremal_summary(D)
             h = bound_e(D)
 
-            full = enumerate_extremes(
-                D, pair_cap=2 * h, a_floor=0, budget=budget, keep_witness=False
-            )
+            points = _frontier(D, 2 * h + 1, budget)
             comparisons += 4
-            if not full.realizable:
+            min_F = min((F for F, _, _ in points), default=None)
+            if min_F is None or min_F > 2 * h:
                 mismatches.append(
                     f"{seq}: no realization under the evenly-spread cap {2 * h}"
                 )
                 continue
-            if full.min_F != summary.f:
-                mismatches.append(
-                    f"{seq}: exhaustive min F {full.min_F} != f {summary.f}"
-                )
-            if full.max_G != summary.g:
-                mismatches.append(
-                    f"{seq}: exhaustive max G {full.max_G} != g {summary.g}"
-                )
-            if full.min_E != summary.e:
-                mismatches.append(
-                    f"{seq}: exhaustive min E {full.min_E} != e {summary.e}"
-                )
+            max_G = max(G for _, G, _ in points)
+            min_E = min(E for _, _, E in points)
+            if min_F != summary.f:
+                mismatches.append(f"{seq}: exhaustive min F {min_F} != f {summary.f}")
+            if max_G != summary.g:
+                mismatches.append(f"{seq}: exhaustive max G {max_G} != g {summary.g}")
+            if min_E != summary.e:
+                mismatches.append(f"{seq}: exhaustive min E {min_E} != e {summary.e}")
 
             for b in range(0, 2 * h + 2):
                 for a in range(0, b + 1):
-                    if (a, b) == (0, 2 * h):
-                        found = full.realizable
-                    else:
-                        found = enumerate_extremes(
-                            D, pair_cap=b, a_floor=a, budget=budget,
-                            keep_witness=False,
-                        ).realizable
+                    found = _in_window(points, a, b)
                     fast = interval_test(D, IntervalParams(a, b))
                     comparisons += 1
                     if found != fast:

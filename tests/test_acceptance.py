@@ -121,18 +121,17 @@ def test_criterion_3_golden_tables():
 
 def test_criterion_4_oracle_sweeps():
     t0 = time.perf_counter()
-    rep_a = sweep(4, 4)
-    rep_b = sweep(5, 3)
+    reports = [sweep(4, 4), sweep(5, 3), sweep(6, 2), sweep(5, 4)]
     elapsed = time.perf_counter() - t0
-    ok = rep_a.clean and rep_b.clean and elapsed < 300
+    ok = all(rep.clean for rep in reports) and elapsed < 300
     detail = (
-        f"{rep_a.sequences}+{rep_b.sequences} sequences, "
-        f"{len(rep_a.mismatches) + len(rep_b.mismatches)} mismatches, "
-        f"{elapsed:.0f}s"
+        f"{'+'.join(str(rep.sequences) for rep in reports)} sequences, "
+        f"{sum(len(rep.mismatches) for rep in reports)} mismatches, "
+        f"{elapsed:.1f}s"
     )
     _report(
-        "criterion 4: exhaustive sweeps (n<=4, d<=4) and (n<=5, d<=3) "
-        "agree with the formulas",
+        "criterion 4: exhaustive sweeps (n<=4, d<=4), (n<=5, d<=3), "
+        "(n<=6, d<=2) and (n<=5, d<=4) agree with the formulas",
         ok,
         detail,
     )

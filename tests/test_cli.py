@@ -233,6 +233,13 @@ class TestSweep:
         assert payload["mismatches"] == []
         assert payload["sequences"] == 16
 
+    @pytest.mark.parametrize("n_max, d_max", [("1", "2"), ("3", "-1")])
+    def test_empty_grid_is_input_error(self, capsys, n_max, d_max):
+        code, out, err = invoke(capsys, "sweep", "--n-max", n_max, "--d-max", d_max)
+        assert code == 2
+        assert out == ""
+        assert "n_max >= 2 and d_max >= 0" in err
+
 
 class TestBench:
     def test_csv_shape_and_determinism(self, capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from scoreseq import (
     OracleBudgetExceeded,
     ScoreSequence,
     SweepReport,
+    bound_e,
     enumerate_extremes,
     interval_test,
     landau_test,
@@ -127,20 +130,62 @@ class TestSweep:
         assert report.clean
         assert report.comparisons > report.sequences
 
-    def test_one_search_per_window(self, monkeypatch):
-        # the window (0, 2h) is the full search's own space, so it is not
-        # searched a second time: 195 - 16 sequences = 179 calls
-        calls = 0
-        search = oracle.enumerate_extremes
+    def test_one_frontier_walk_per_sequence(self, monkeypatch):
+        # one frontier walk answers f, g, e and every window of a sequence,
+        # so sweep(3, 2) walks 16 times and never runs a per-window search
+        walks = 0
+        frontier = oracle._frontier
 
         def counting(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return search(*args, **kwargs)
+            nonlocal walks
+            walks += 1
+            return frontier(*args, **kwargs)
 
-        monkeypatch.setattr(oracle, "enumerate_extremes", counting)
+        def refused(*args, **kwargs):
+            raise AssertionError("sweep ran a per-window search")
+
+        monkeypatch.setattr(oracle, "_frontier", counting)
+        monkeypatch.setattr(oracle, "enumerate_extremes", refused)
         report = sweep(3, 2)
-        assert calls == 179
+        assert walks == 16
         assert report == SweepReport(
             sequences=16, by_length={2: 6, 3: 10}, comparisons=307
         )
+
+    @pytest.mark.parametrize("n_max, d_max", [(1, 2), (0, 0), (3, -1)])
+    def test_empty_grid_is_rejected(self, n_max, d_max):
+        with pytest.raises(ValueError, match="n_max >= 2 and d_max >= 0"):
+            sweep(n_max, d_max)
+
+
+class TestFrontier:
+    def test_matches_per_window_search(self):
+        # slow cross-check, independent of interval_test: every window read
+        # off the frontier against its own exhaustive search, whose witness
+        # must verify, and the frontier extremes against a full search
+        for n in range(2, 5):
+            for seq in itertools.combinations_with_replacement(range(4), n):
+                D = ScoreSequence(seq)
+                cap = 2 * bound_e(D) + 1
+                points = oracle._frontier(D, cap, oracle.DEFAULT_BUDGET)
+                full = enumerate_extremes(D, cap, keep_witness=False)
+                assert min(F for F, _, _ in points) == full.min_F, seq
+                assert max(G for _, G, _ in points) == full.max_G, seq
+                assert min(E for _, _, E in points) == full.min_E, seq
+                for b in range(cap + 1):
+                    for a in range(b + 1):
+                        window = enumerate_extremes(D, pair_cap=b, a_floor=a)
+                        found = oracle._in_window(points, a, b)
+                        assert found == window.realizable, (seq, a, b)
+                        if found:
+                            report = verify_realization(
+                                window.witness, D, IntervalParams(a, b)
+                            )
+                            assert report.valid, (seq, a, b)
+
+    def test_points_are_mutually_undominated(self):
+        points = oracle._frontier(ScoreSequence((2, 3, 3, 4)), 5, oracle.DEFAULT_BUDGET)
+        for p in points:
+            for q in points:
+                if p != q:
+                    assert not (q[0] <= p[0] and q[1] >= p[1] and q[2] <= p[2])
