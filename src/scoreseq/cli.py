@@ -13,9 +13,12 @@ Subcommands:
 Scores are given inline (``--scores 9,9,19,20,32,34``, commas or spaces)
 or in a file (``--scores-file``), unsorted input accepted.  Matrices are
 plain CSV: n lines of n comma-separated nonnegative integers with a zero
-diagonal.  Data goes to stdout, diagnostics to stderr.  Exit codes: 0 ok,
-1 negative answer (not realizable / invalid matrix / sweep mismatch),
-2 usage or input error, 3 oracle budget exceeded.
+diagonal.  Data goes to stdout, diagnostics to stderr.  ``--format`` picks
+json (the default), csv or table for the five commands that take scores,
+and json or table for ``sweep``; ``bench`` writes CSV only.  In CSV mode
+``reconstruct`` and ``verify`` put their verification notes on stderr, after
+the CSV.  Exit codes: 0 ok, 1 negative answer (not realizable / invalid
+matrix / sweep mismatch), 2 usage or input error, 3 oracle budget exceeded.
 """
 
 from __future__ import annotations
@@ -27,16 +30,15 @@ import random
 import sys
 import time
 import zlib
-from typing import Sequence
+from dataclasses import asdict
+from typing import Callable, Sequence
 
 from .analysis import bound_e, extremal_summary, interval_test, min_f
-from .construct import mini_max, naive_construct, pigeonhole_construct
+from .construct import _cycle_matrix, mini_max, pigeonhole_construct
 from .core import (
     IntervalParams,
-    MatrixStats,
     OracleBudgetExceeded,
     PointMatrix,
-    RealizationReport,
     ScoreSequence,
     TournamentError,
     matrix_stats,
@@ -51,6 +53,9 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+
+Renderer = Callable[[], str | tuple[str, str]]  # stdout text [, stderr note]
+Outcome = tuple[int, dict | None, dict[str, Renderer]]  # exit code, JSON, renderers
 
 
 def parse_scores_text(text: str) -> list[int]:
@@ -73,7 +78,9 @@ def read_matrix_file(path: str) -> PointMatrix:
         try:
             rows.append([int(tok) for tok in line.replace(",", " ").split()])
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: matrix entries must be integers") from None
+            raise ValueError(
+                f"{path}:{lineno}: matrix entries must be integers"
+            ) from None
     return PointMatrix.from_rows(rows)
 
 
@@ -84,8 +91,14 @@ def _load_scores(args: argparse.Namespace) -> list[int]:
         return parse_scores_text(fh.read())
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
+def _csv(row: dict) -> str:
+    """A header line and one data line; booleans print as true/false."""
+    cells = [str(v).lower() if isinstance(v, bool) else str(v) for v in row.values()]
+    return ",".join(row) + "\n" + ",".join(cells)
+
+
+def _indented(lines: Sequence[str]) -> str:
+    return "".join(f"\n  {line}" for line in lines)
 
 
 def _matrix_csv(M: PointMatrix) -> str:
@@ -99,25 +112,6 @@ def _matrix_table(M: PointMatrix) -> str:
         cells = [("-" if i == j else str(v)).rjust(width) for j, v in enumerate(row)]
         lines.append(" ".join(cells) + f"  | {sum(row)}")
     return "\n".join(lines)
-
-
-def _report_payload(report: RealizationReport) -> dict:
-    return {
-        "valid": report.valid,
-        "zero_diagonal": report.zero_diagonal,
-        "row_sums_match": report.row_sums_match,
-        "pair_totals_in_window": report.pair_totals_in_window,
-        "failures": list(report.failures),
-    }
-
-
-def _stats_payload(stats: MatrixStats) -> dict:
-    return {
-        "max_entry": stats.max_entry,
-        "max_pair_total": stats.max_pair_total,
-        "min_pair_total": stats.min_pair_total,
-        "row_sums": list(stats.row_sums),
-    }
 
 
 def generate_scores(n: int, d_max: int, seed: int) -> ScoreSequence:
@@ -141,56 +135,42 @@ def _best_time(fn, repeats: int) -> float:
     return best
 
 
-def _cmd_bounds(args: argparse.Namespace) -> int:
+def _cmd_bounds(args: argparse.Namespace) -> Outcome:
     D, perm = normalize_sequence(_load_scores(args))
-    summary = extremal_summary(D)
-    if args.format == "json":
-        _emit_json(
-            {
-                "n": D.n,
-                "e": summary.e,
-                "f": summary.f,
-                "g": summary.g,
-                "f_window": [summary.f_search_lo, summary.f_search_hi],
-                "scores": list(D.scores),
-                "permutation": list(perm),
-            }
-        )
-    elif args.format == "csv":
-        print("n,e,f,g,f_lo,f_hi")
-        print(
-            f"{D.n},{summary.e},{summary.f},{summary.g},"
-            f"{summary.f_search_lo},{summary.f_search_hi}"
-        )
-    else:
-        print(f"n   = {D.n}")
-        print(f"e   = {summary.e}")
-        print(f"f   = {summary.f}")
-        print(f"g   = {summary.g}")
-        print(f"f in [{summary.f_search_lo}, {summary.f_search_hi}]")
-    return EXIT_OK
+    s = extremal_summary(D)
+    lo, hi = s.f_search_lo, s.f_search_hi
+    values = {"n": D.n, "e": s.e, "f": s.f, "g": s.g}
+    payload = {
+        **values,
+        "f_window": [lo, hi],
+        "scores": list(D.scores),
+        "permutation": list(perm),
+    }
+    return EXIT_OK, payload, {
+        "csv": lambda: _csv({**values, "f_lo": lo, "f_hi": hi}),
+        "table": lambda: "\n".join(
+            [*(f"{k:<3} = {v}" for k, v in values.items()), f"f in [{lo}, {hi}]"]
+        ),
+    }
 
 
-def _cmd_test(args: argparse.Namespace) -> int:
+def _cmd_test(args: argparse.Namespace) -> Outcome:
     D, _ = normalize_sequence(_load_scores(args))
     params = IntervalParams(args.a, args.b)
     ok = interval_test(D, params)
-    if args.format == "json":
-        _emit_json({"realizable": ok, "a": params.a, "b": params.b, "n": D.n})
-    elif args.format == "csv":
-        print("realizable")
-        print(str(ok).lower())
-    else:
-        print(f"realizable within [{params.a}, {params.b}]: {ok}")
-    return EXIT_OK if ok else EXIT_NEGATIVE
+    payload = {"realizable": ok, "a": params.a, "b": params.b, "n": D.n}
+    return EXIT_OK if ok else EXIT_NEGATIVE, payload, {
+        "csv": lambda: _csv({"realizable": ok}),
+        "table": lambda: f"realizable within [{params.a}, {params.b}]: {ok}",
+    }
 
 
-def _cmd_reconstruct(args: argparse.Namespace) -> int:
+def _cmd_reconstruct(args: argparse.Namespace) -> Outcome:
     raw = _load_scores(args)
     D, perm = normalize_sequence(raw)
-    summary = None
+    payload = {}
     if args.method == "naive":
-        M = naive_construct(raw)
+        M = _cycle_matrix(raw)  # normalize_sequence has checked the scores
         # with two players both cycle arcs fall on the one pair
         default_a, default_b = 0, sum(raw) if len(raw) == 2 else max(raw)
     elif args.method == "pigeonhole":
@@ -198,66 +178,45 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
         default_a, default_b = 0, 2 * bound_e(D)
     else:
         summary, M = mini_max(D)
+        payload = {"e": summary.e, "f": summary.f, "g": summary.g}
         default_a, default_b = summary.g, summary.f
     a = args.a if args.a is not None else default_a
     b = args.b if args.b is not None else default_b
-    params = IntervalParams(a, b)
-    report = verify_realization(M, D, params)
-    stats = matrix_stats(M)
-
-    if args.format == "json":
-        payload = {
-            "method": args.method,
-            "a": a,
-            "b": b,
-            "scores": list(D.scores),
-            "permutation": list(perm),
-            "matrix": [list(row) for row in M.entries],
-            "stats": _stats_payload(stats),
-            "report": _report_payload(report),
-        }
-        if summary is not None:
-            payload["e"] = summary.e
-            payload["f"] = summary.f
-            payload["g"] = summary.g
-        _emit_json(payload)
-    elif args.format == "csv":
-        print(_matrix_csv(M))
-        print(f"verify: valid={report.valid}", file=sys.stderr)
-    else:
-        print(_matrix_table(M))
-        print(f"window [{a}, {b}]: valid={report.valid}")
-        for line in report.failures:
-            print(f"  {line}")
-    return EXIT_OK
+    report = verify_realization(M, D, IntervalParams(a, b))
+    payload.update(
+        method=args.method,
+        a=a,
+        b=b,
+        scores=list(D.scores),
+        permutation=list(perm),
+        matrix=[list(row) for row in M.entries],
+        stats=asdict(matrix_stats(M)),
+        report={**asdict(report), "valid": report.valid},
+    )
+    return EXIT_OK, payload, {
+        "csv": lambda: (_matrix_csv(M), f"verify: valid={report.valid}"),
+        "table": lambda: _matrix_table(M)
+        + f"\nwindow [{a}, {b}]: valid={report.valid}"
+        + _indented(report.failures),
+    }
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> Outcome:
     M = read_matrix_file(args.matrix)
     D, _ = normalize_sequence(_load_scores(args))
     params = IntervalParams(args.a, args.b)
     report = verify_realization(M, D, params)
-    stats = matrix_stats(M)
-    if args.format == "json":
-        _emit_json(
-            {
-                "valid": report.valid,
-                "a": params.a,
-                "b": params.b,
-                "report": _report_payload(report),
-                "stats": _stats_payload(stats),
-            }
-        )
-    elif args.format == "csv":
-        print("valid")
-        print(str(report.valid).lower())
-        for line in report.failures:
-            print(line, file=sys.stderr)
-    else:
-        print(f"valid: {report.valid}")
-        for line in report.failures:
-            print(f"  {line}")
-    return EXIT_OK if report.valid else EXIT_NEGATIVE
+    payload = {
+        "valid": report.valid,
+        "a": params.a,
+        "b": params.b,
+        "report": {**asdict(report), "valid": report.valid},
+        "stats": asdict(matrix_stats(M)),
+    }
+    return EXIT_OK if report.valid else EXIT_NEGATIVE, payload, {
+        "csv": lambda: (_csv({"valid": report.valid}), "\n".join(report.failures)),
+        "table": lambda: f"valid: {report.valid}" + _indented(report.failures),
+    }
 
 
 def _oracle_budget(args: argparse.Namespace) -> int:
@@ -277,7 +236,7 @@ def _oracle_budget(args: argparse.Namespace) -> int:
     return budget
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(args: argparse.Namespace) -> Outcome:
     D, _ = normalize_sequence(_load_scores(args))
     pair_cap = args.pair_cap if args.pair_cap is not None else 2 * bound_e(D)
     result = enumerate_extremes(
@@ -287,7 +246,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         budget=_oracle_budget(args),
         keep_witness=not args.no_witness,
     )
-    payload = {
+    fields = {
         "realizable": result.realizable,
         "count": result.count,
         "pair_cap": pair_cap,
@@ -296,54 +255,42 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         "max_G": result.max_G,
         "min_E": result.min_E,
     }
-    if args.format == "json":
+    payload = dict(fields)
+    if result.witness is not None:
+        payload["witness"] = [list(row) for row in result.witness.entries]
+
+    def table() -> str:
+        lines = [f"{key} = {value}" for key, value in fields.items()]
         if result.witness is not None:
-            payload["witness"] = [list(row) for row in result.witness.entries]
-        _emit_json(payload)
-    elif args.format == "csv":
-        print("realizable,count,min_F,max_G,min_E")
-        print(
-            f"{str(result.realizable).lower()},{result.count},"
-            f"{result.min_F},{result.max_G},{result.min_E}"
-        )
-    else:
-        for key, value in payload.items():
-            print(f"{key} = {value}")
-        if result.witness is not None:
-            print(_matrix_table(result.witness))
-    return EXIT_OK
+            lines.append(_matrix_table(result.witness))
+        return "\n".join(lines)
+
+    csv_keys = ("realizable", "count", "min_F", "max_G", "min_E")
+    return EXIT_OK, payload, {
+        "csv": lambda: _csv({key: fields[key] for key in csv_keys}),
+        "table": table,
+    }
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    report = sweep(
-        args.n_max,
-        args.d_max,
-        moon_c_max=args.moon_c_max,
-        budget=_oracle_budget(args),
-    )
-    if args.format == "json":
-        _emit_json(
-            {
-                "sequences": report.sequences,
-                "by_length": {str(k): v for k, v in report.by_length.items()},
-                "comparisons": report.comparisons,
-                "mismatches": list(report.mismatches),
-            }
-        )
-    else:
-        print(
-            f"sequences={report.sequences} comparisons={report.comparisons} "
-            f"mismatches={len(report.mismatches)}"
-        )
-        for line in report.mismatches:
-            print(f"  {line}")
-    return EXIT_OK if report.clean else EXIT_NEGATIVE
+def _cmd_sweep(args: argparse.Namespace) -> Outcome:
+    budget = _oracle_budget(args)
+    report = sweep(args.n_max, args.d_max, moon_c_max=args.moon_c_max, budget=budget)
+    payload = {
+        "sequences": report.sequences,
+        "by_length": {str(k): v for k, v in report.by_length.items()},
+        "comparisons": report.comparisons,
+        "mismatches": list(report.mismatches),
+    }
+    return EXIT_OK if report.clean else EXIT_NEGATIVE, payload, {
+        "table": lambda: f"sequences={report.sequences} "
+        f"comparisons={report.comparisons} mismatches={len(report.mismatches)}"
+        + _indented(report.mismatches),
+    }
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
+def _cmd_bench(args: argparse.Namespace) -> Outcome:
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-    known = {"interval-test", "min-f", "minimax"}
-    unknown = set(algorithms) - known
+    unknown = set(algorithms) - {"interval-test", "min-f", "minimax"}
     if unknown:
         raise ValueError(f"unknown bench algorithms: {sorted(unknown)}")
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
@@ -354,7 +301,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if too_small:
         raise ValueError(f"bench sizes must be at least 2, got {too_small}")
 
-    print("algorithm,n,d_max,seed,repeats,best_seconds,input_checksum")
+    rows = ["algorithm,n,d_max,seed,repeats,best_seconds,input_checksum"]
     for name in algorithms:
         for n in mm_sizes if name == "minimax" else sizes:
             d_max = 2 * n
@@ -368,17 +315,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             else:
                 fn = lambda: mini_max(D)
             best = _best_time(fn, args.repeats)
-            print(
+            rows.append(
                 f"{name},{n},{d_max},{args.seed},{args.repeats},"
                 f"{best:.6f},{scores_checksum(D)}"
             )
-    return EXIT_OK
+    return EXIT_OK, None, {"csv": lambda: "\n".join(rows)}
 
 
 def _add_scores_arguments(sub: argparse.ArgumentParser) -> None:
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--scores", help="inline scores, comma or space separated")
     group.add_argument("--scores-file", help="file with scores (any separators)")
+    sub.add_argument("--format", choices=["json", "csv", "table"], default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,14 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="compute e, f, g and the f-search window")
     _add_scores_arguments(p)
-    p.add_argument("--format", choices=["json", "csv", "table"], default="json")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("test", help="decide realizability for a window [a, b]")
     _add_scores_arguments(p)
     p.add_argument("--a", type=int, required=True, help="minimum pair total")
     p.add_argument("--b", type=int, required=True, help="maximum pair total")
-    p.add_argument("--format", choices=["json", "csv", "table"], default="json")
     p.set_defaults(func=_cmd_test)
 
     p = sub.add_parser("reconstruct", help="build a witness point matrix")
@@ -409,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--a", type=int, default=None, help="window floor for the report")
     p.add_argument("--b", type=int, default=None, help="window cap for the report")
-    p.add_argument("--format", choices=["json", "csv", "table"], default="json")
     p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("verify", help="check a matrix file against scores")
@@ -417,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True, help="CSV matrix file")
     p.add_argument("--a", type=int, required=True, help="minimum pair total")
     p.add_argument("--b", type=int, required=True, help="maximum pair total")
-    p.add_argument("--format", choices=["json", "csv", "table"], default="json")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("oracle", help="exhaustively enumerate realizations")
@@ -426,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-floor", type=int, default=0)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--no-witness", action="store_true")
-    p.add_argument("--format", choices=["json", "csv", "table"], default="json")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("sweep", help="cross-check formulas against exhaustion")
@@ -447,25 +390,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--minimax-sizes", default="50,100,200")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--repeats", type=int, default=3)
-    p.set_defaults(func=_cmd_bench)
+    p.set_defaults(func=_cmd_bench, format="csv")
 
     return parser
 
 
 def run(argv: Sequence[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and print its answer; no other function prints data."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, payload, renderers = args.func(args)
+        if args.format == "json":
+            text = json.dumps(payload, sort_keys=True)
+        else:
+            text = renderers[args.format]()
     except OracleBudgetExceeded as exc:
         print(f"oracle budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (TournamentError, ValueError) as exc:
+    except (TournamentError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    out, note = text if isinstance(text, tuple) else (text, "")
+    print(out)
+    if note:
+        print(note, file=sys.stderr)
+    return code
 
 
 def main() -> None:

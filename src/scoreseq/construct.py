@@ -50,11 +50,16 @@ def naive_construct(raw: Sequence[int]) -> PointMatrix:
     """
     raw = _as_ints(raw, "score")
     _validate_scores(raw)
-    n = len(raw)
+    return _cycle_matrix(raw)
+
+
+def _cycle_matrix(scores: Sequence[int]) -> PointMatrix:
+    """``naive_construct`` for scores the caller has already validated."""
+    n = len(scores)
     grid = [[0] * n for _ in range(n)]
-    grid[n - 1][0] = raw[n - 1]
+    grid[n - 1][0] = scores[n - 1]
     for i in range(n - 1):
-        grid[i][i + 1] = raw[i]
+        grid[i][i + 1] = scores[i]
     return PointMatrix.from_rows(grid)
 
 

@@ -310,10 +310,13 @@ def sweep(
 
     The state estimate is checked at the largest window's cap 2h + 1, and
     the visited budget counts the pair states of the cut walk.
+    ``moon_c_max = 0`` skips the c-point checks; a negative value is an error.
     Returns a report whose ``mismatches`` must be empty.
     """
     if n_max < 2 or d_max < 0:
         raise ValueError(f"need n_max >= 2 and d_max >= 0, got {n_max}, {d_max}")
+    if moon_c_max < 0:
+        raise ValueError(f"moon_c_max {moon_c_max} must be nonnegative")
     mismatches: list[str] = []
     comparisons = 0
     by_length: dict[int, int] = {}

@@ -31,7 +31,7 @@ from scoreseq import (
     verify_realization,
 )
 from scoreseq.analysis import max_g_by_search, min_f_closed_form
-from scoreseq.cli import generate_scores
+from scoreseq.cli import _best_time, generate_scores
 
 from golden import SCORES_SIX, TABLE_BALANCED, TABLE_UNBALANCED, TABLE_WIDE
 from scoreseq import PointMatrix
@@ -41,17 +41,6 @@ def _report(criterion: str, ok: bool, detail: str = ""):
     status = "PASS" if ok else "FAIL"
     print(f"[{status}] {criterion}" + (f" ({detail})" if detail else ""))
     assert ok, f"{criterion}: {detail}"
-
-
-def _best_time(fn, repeats):
-    best = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        elapsed = time.perf_counter() - t0
-        if best is None or elapsed < best:
-            best = elapsed
-    return best
 
 
 def test_criterion_1_worked_example():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from scoreseq import construct, core
 from scoreseq.cli import run
 
 from golden import SCORES_SIX, TABLE_WIDE
@@ -118,6 +119,24 @@ class TestReconstruct:
         assert code == 0
         assert payload["b"] == 7
         assert payload["report"]["valid"] is True
+
+    def test_naive_checks_the_scores_once(self, capsys, monkeypatch):
+        calls = []
+        validate = core._validate_scores
+
+        def counting(scores):
+            calls.append(scores)
+            return validate(scores)
+
+        # construct imports the name, so patch its binding as well
+        monkeypatch.setattr(core, "_validate_scores", counting)
+        monkeypatch.setattr(construct, "_validate_scores", counting)
+        code, payload, _ = invoke_json(
+            capsys, "reconstruct", "--scores", "3,1,2", "--method", "naive"
+        )
+        assert code == 0
+        assert payload["matrix"] == [[0, 3, 0], [0, 0, 1], [2, 0, 0]]
+        assert len(calls) == 1
 
     def test_minimax_reports_extremes(self, capsys):
         code, payload, _ = invoke_json(
@@ -239,6 +258,20 @@ class TestSweep:
         assert code == 2
         assert out == ""
         assert "n_max >= 2 and d_max >= 0" in err
+
+    def test_negative_moon_c_max_is_input_error(self, capsys):
+        code, out, err = invoke(
+            capsys, "sweep", "--n-max", "3", "--d-max", "2", "--moon-c-max", "-1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "moon_c_max -1 must be nonnegative" in err
+
+    def test_csv_format_is_not_offered(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["sweep", "--n-max", "3", "--d-max", "2", "--format", "csv"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestBench:

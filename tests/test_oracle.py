@@ -157,6 +157,10 @@ class TestSweep:
         with pytest.raises(ValueError, match="n_max >= 2 and d_max >= 0"):
             sweep(n_max, d_max)
 
+    def test_negative_moon_c_max_is_rejected(self):
+        with pytest.raises(ValueError, match="moon_c_max -1 must be nonnegative"):
+            sweep(3, 2, moon_c_max=-1)
+
 
 class TestFrontier:
     def test_matches_per_window_search(self):
