@@ -193,7 +193,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> Outcome:
         stats=asdict(matrix_stats(M)),
         report={**asdict(report), "valid": report.valid},
     )
-    return EXIT_OK, payload, {
+    return EXIT_OK if report.valid else EXIT_NEGATIVE, payload, {
         "csv": lambda: (_matrix_csv(M), f"verify: valid={report.valid}"),
         "table": lambda: _matrix_table(M)
         + f"\nwindow [{a}, {b}]: valid={report.valid}"

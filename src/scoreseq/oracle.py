@@ -28,6 +28,14 @@ exact anyway:
   dominating such a realization meets both bounds, so the frontier answers
   every such window.
 
+Each sequence reduces its frontier to a reach list: reach[b] is the largest
+G of a point with F <= b (-1 if none), so window [a, b] is realizable exactly
+when a <= reach[b].  The windows themselves come from one table per sweep,
+(a, b, IntervalParams(a, b)) ordered by b and then a, so the windows with
+b <= C are exactly its first (C + 1)(C + 2)/2 rows.  The table grows a row
+of b at a time when a sequence needs a larger C, so it is never larger than
+the window loop of the sequence that needed it.
+
 The frontier walk cuts a branch once a point already found dominates the
 running values of its partial matrix (F' <= F, G' >= G, E' <= E).  That is
 sound because the pairs still to be placed can only raise F and E and lower
@@ -249,11 +257,18 @@ def _frontier(
     return points
 
 
-def _in_window(points: list[tuple[int, int, int]], a: int, b: int) -> bool:
-    """Whether the realizations behind a frontier include one with every pair
-    total in [a, b]: it needs F <= b and G >= a, and a point dominating it
-    meets both."""
-    return any(F <= b and G >= a for F, G, _ in points)
+def _reach(points: list[tuple[int, int, int]], cap: int) -> list[int]:
+    """reach[b] for 0 <= b <= cap: the largest G of a point with F <= b, or -1
+    when there is none, over a frontier walked at pair cap ``cap``.
+
+    Window [a, b] needs a point with F <= b and G >= a, so, as a >= 0, it is
+    realizable exactly when a <= reach[b].
+    """
+    best = [-1] * (cap + 1)
+    for F, G, _ in points:
+        if G > best[F]:
+            best[F] = G
+    return list(itertools.accumulate(best, max))
 
 
 def landau_test(D: ScoreSequence) -> bool:
@@ -305,21 +320,30 @@ def sweep(
 
     * exhaustive min F / max G / min E against min_f, max_g, bound_e;
     * realizability of every window (a, b) with b up to one past the
-      evenly-spread bound 2h, against interval_test;
+      evenly-spread bound 2h, against interval_test, one lookup in the
+      sequence's reach list per window; the windows are the first
+      (2h + 2)(2h + 3)/2 rows of a table shared by all sequences, ordered
+      by b then a and grown on demand;
     * interval_test on the diagonal windows against landau_test/moon_test.
 
     The state estimate is checked at the largest window's cap 2h + 1, and
     the visited budget counts the pair states of the cut walk.
     ``moon_c_max = 0`` skips the c-point checks; a negative value is an error.
+    An n_max beyond six players raises OracleBudgetExceeded before any walk.
     Returns a report whose ``mismatches`` must be empty.
     """
     if n_max < 2 or d_max < 0:
         raise ValueError(f"need n_max >= 2 and d_max >= 0, got {n_max}, {d_max}")
     if moon_c_max < 0:
         raise ValueError(f"moon_c_max {moon_c_max} must be nonnegative")
+    if n_max > MAX_ORACLE_PLAYERS:
+        raise OracleBudgetExceeded(f"{n_max} players is beyond exhaustive reach")
     mismatches: list[str] = []
     comparisons = 0
     by_length: dict[int, int] = {}
+    # (a, b, IntervalParams(a, b)) ordered by b, then a; rows up to b = top
+    windows: list[tuple[int, int, IntervalParams]] = []
+    top = -1
     for n in range(2, n_max + 1):
         cnt = 0
         for seq in nondecreasing_sequences(n, d_max):
@@ -327,8 +351,9 @@ def sweep(
             D = ScoreSequence(seq)
             summary = extremal_summary(D)
             h = bound_e(D)
+            cap = 2 * h + 1
 
-            points = _frontier(D, 2 * h + 1, budget)
+            points = _frontier(D, cap, budget)
             comparisons += 4
             min_F = min((F for F, _, _ in points), default=None)
             if min_F is None or min_F > 2 * h:
@@ -345,16 +370,20 @@ def sweep(
             if min_E != summary.e:
                 mismatches.append(f"{seq}: exhaustive min E {min_E} != e {summary.e}")
 
-            for b in range(0, 2 * h + 2):
-                for a in range(0, b + 1):
-                    found = _in_window(points, a, b)
-                    fast = interval_test(D, IntervalParams(a, b))
-                    comparisons += 1
-                    if found != fast:
-                        mismatches.append(
-                            f"{seq}: window ({a},{b}) exhaustive {found} "
-                            f"!= interval_test {fast}"
-                        )
+            while top < cap:
+                top += 1
+                windows.extend((a, top, IntervalParams(a, top)) for a in range(top + 1))
+            reach = _reach(points, cap)
+            count = (cap + 1) * (cap + 2) // 2
+            comparisons += count
+            for a, b, params in windows[:count]:
+                found = a <= reach[b]
+                fast = interval_test(D, params)
+                if found != fast:
+                    mismatches.append(
+                        f"{seq}: window ({a},{b}) exhaustive {found} "
+                        f"!= interval_test {fast}"
+                    )
 
             comparisons += 1
             if landau_test(D) != interval_test(D, IntervalParams(1, 1)):

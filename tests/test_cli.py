@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from scoreseq import construct, core
+from scoreseq import construct, core, oracle
 from scoreseq.cli import run
 
 from golden import SCORES_SIX, TABLE_WIDE
@@ -119,6 +119,17 @@ class TestReconstruct:
         assert code == 0
         assert payload["b"] == 7
         assert payload["report"]["valid"] is True
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_failed_verification_exits_negative(self, capsys, fmt):
+        # a = 9 is above g = 8, so no witness fits the window [9, 9]
+        code, out, _ = invoke(
+            capsys,
+            "reconstruct", "--scores", "34 9 19 9 32 20", "--a", "9", "--b", "9",
+            "--format", fmt,
+        )
+        assert code == 1
+        assert out
 
     def test_naive_checks_the_scores_once(self, capsys, monkeypatch):
         calls = []
@@ -266,6 +277,16 @@ class TestSweep:
         assert code == 2
         assert out == ""
         assert "moon_c_max -1 must be nonnegative" in err
+
+    def test_seven_players_is_budget_error(self, capsys, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("sweep walked a sequence")
+
+        monkeypatch.setattr(oracle, "_frontier", refused)
+        code, out, err = invoke(capsys, "sweep", "--n-max", "7", "--d-max", "3")
+        assert code == 3
+        assert out == ""
+        assert "7 players is beyond exhaustive reach" in err
 
     def test_csv_format_is_not_offered(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -152,6 +152,49 @@ class TestSweep:
             sequences=16, by_length={2: 6, 3: 10}, comparisons=307
         )
 
+    def test_each_window_is_built_once(self, monkeypatch):
+        # one shared table: the 21 windows with b <= 5, the largest cap of
+        # sweep(3, 2), plus the four diagonal windows of each of 16 sequences
+        built = 0
+
+        class Counting(IntervalParams):
+            def __post_init__(self):
+                nonlocal built
+                built += 1
+                super().__post_init__()
+
+        monkeypatch.setattr(oracle, "IntervalParams", Counting)
+        assert sweep(3, 2).clean
+        assert built == 21 + 16 * 4
+
+    @pytest.mark.parametrize("n_max, d_max", [(3, 2), (2, 3)])
+    def test_windows_in_table_order(self, monkeypatch, n_max, d_max):
+        # every 0 <= a <= b <= 2h+1 in b-then-a order, then the diagonals
+        seen = {}
+        fast = oracle.interval_test
+
+        def recording(D, params):
+            seen.setdefault(D.scores, []).append((params.a, params.b))
+            return fast(D, params)
+
+        monkeypatch.setattr(oracle, "interval_test", recording)
+        assert sweep(n_max, d_max).clean
+        expected = {}
+        for n in range(2, n_max + 1):
+            for seq in itertools.combinations_with_replacement(range(d_max + 1), n):
+                cap = 2 * bound_e(ScoreSequence(seq)) + 1
+                windows = [(a, b) for b in range(cap + 1) for a in range(b + 1)]
+                expected[seq] = windows + [(1, 1), (1, 1), (2, 2), (3, 3)]
+        assert seen == expected
+
+    def test_seven_players_rejected_before_any_walk(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("sweep walked a sequence")
+
+        monkeypatch.setattr(oracle, "_frontier", refused)
+        with pytest.raises(OracleBudgetExceeded, match="7 players"):
+            sweep(7, 0)
+
     @pytest.mark.parametrize("n_max, d_max", [(1, 2), (0, 0), (3, -1)])
     def test_empty_grid_is_rejected(self, n_max, d_max):
         with pytest.raises(ValueError, match="n_max >= 2 and d_max >= 0"):
@@ -176,10 +219,11 @@ class TestFrontier:
                 assert min(F for F, _, _ in points) == full.min_F, seq
                 assert max(G for _, G, _ in points) == full.max_G, seq
                 assert min(E for _, _, E in points) == full.min_E, seq
+                reach = oracle._reach(points, cap)
                 for b in range(cap + 1):
                     for a in range(b + 1):
                         window = enumerate_extremes(D, pair_cap=b, a_floor=a)
-                        found = oracle._in_window(points, a, b)
+                        found = a <= reach[b]
                         assert found == window.realizable, (seq, a, b)
                         if found:
                             report = verify_realization(
