@@ -18,11 +18,15 @@ sentinel p[0] = 0 natural; the public matrices are 0-based.
 
 All steps work in place on one 1-based working matrix and one prefix list:
 step k settles row and column k and leaves the reduced prefix in p[1..k-1]
-for step k-1.  Each step builds the prefix slack once; a hand-out round to
-the block low..x patches the slack over the block, re-sorts only the block,
-and extends the room (suffix minima of the slack) down to the next block
-only.  The slack is rebuilt once more when the quota is met and players
-unlock.
+for step k-1.  The hand-outs are a level fill.  One scan down the sorted
+prefix lowers the open top block, round by round, toward the next score
+below it.  A round costs a few integer operations on the block's common
+level, its width and running prefix sums, and a player is written only
+when it reaches its cap or when the fill stops.  The round that meets the
+quota or spends the last of the budget, and any round once a re-sort has
+broken the order of the starting scores, is settled member by member,
+together with what each member is owed from the rounds before; only such a
+round can re-sort its block.
 """
 
 from __future__ import annotations
@@ -82,31 +86,21 @@ def pigeonhole_construct(D: ScoreSequence) -> PointMatrix:
     return PointMatrix.from_rows(grid)
 
 
-def _fill_slack(slack: list[int], p: list[int], a: int, start: int, stop: int) -> None:
-    """Set slack[i] = P_i - a*B_i, the slack of players 1..i, for start <= i < stop.
-
-    P_i is the prefix sum of p and B_i = i(i-1)/2 counts the pairs among
-    players 1..i, so A[i] - A[i-1] = p[i] - a*(i-1) and A[0] = 0; slack[start-1]
-    must already be current.  Filled over 1..k-1 when a step starts and when
-    its quota is met; a hand-out round refills only its block.
-    """
-    for i in range(start, stop):
-        slack[i] = slack[i - 1] + p[i] - a * (i - 1)
-
-
 def _restore_order(
     p: list[int], grid: list[list[int]], k: int, low: int, high: int
-) -> None:
+) -> bool:
     """Re-sort players low..high by provisional score, carrying settled matches.
 
     Matches among players 1..k-1 are still untouched placeholders, so two of
     them may swap identities freely as long as their already-settled columns
     (everything from k on, including the column being built) swap too.  The
     block's scores stay within p[low-1]..p[high+1], so a stable sort of the
-    block alone equals a stable sort of all of 1..k-1.
+    block alone equals a stable sort of all of 1..k-1.  Returns whether any
+    player moved.
     """
-    if all(p[i] <= p[i + 1] for i in range(low, high)):
-        return
+    block = p[low : high + 1]
+    if block == sorted(block):
+        return False
     n = len(grid) - 1
     order = sorted(range(low, high + 1), key=p.__getitem__)
     moved = [(p[i], grid[i][k:], [grid[t][i] for t in range(k, n + 1)]) for i in order]
@@ -115,6 +109,7 @@ def _restore_order(
         grid[pos][k:] = row
         for t, value in enumerate(col, start=k):
             grid[t][pos] = value
+    return True
 
 
 def score_slicing(
@@ -132,6 +127,14 @@ def score_slicing(
     players are relabeled, rows and settled columns of grid included, to
     keep the prefix sorted.  Entries of p from k on are left as they were.
 
+    The result is the one of handing out in rounds, one per tie block, with
+    every member visited, the block re-sorted and its slack refilled each
+    round.  Here a round whose hand-out fits the budget is applied as a drop
+    of the block's level: members that reach their cap are settled and
+    leave the block, and the rest stay owed the drop until the fill stops.
+    The round that meets the quota or spends the budget is then settled
+    member by member, together with what each member is owed.
+
     Raises InfeasiblePrefix if the surplus cannot be shed, which indicates
     the caller skipped the realizability test.
     """
@@ -142,15 +145,11 @@ def score_slicing(
     missing = (k - 1) * b - p[k]
     if missing < 0:
         raise InfeasiblePrefix(f"score p[{k}]={p[k]} exceeds ({k - 1})*b={b * (k - 1)}")
-    # room_after[i] = min(slack[i..k-1]) caps a hand-out to player i.  Only
-    # slack below top and room_after on settled..top are kept current: lower
-    # room is filled in when a block reaches it, and the players above top
-    # are locked, so nothing reads their entries.
-    slack = [0] * k
-    _fill_slack(slack, p, a, 1, k)
-    room_after = slack[:]
-    settled = top = k - 1
-    spare = slack[k - 1]
+    # slack_j = P_j - a*B_j, where P_j sums p[1..j] and B_j = j(j-1)/2 counts
+    # the pairs among players 1..j: what hand-outs to players 1..j may take
+    # before those pairs can no longer each get a points.
+    pairs = a * (k - 1) * (k - 2) // 2
+    spare = sum(p[1:k]) - pairs
 
     # Every pair total must end up at least a, so forfeits alone can shed at
     # most (k-1)*(b-a) points and this many must leave via hand-outs that
@@ -160,83 +159,130 @@ def score_slicing(
     deficit = max(0, (k - 1) * a - p[k])
 
     # Phase 1: hand surplus to players that still hold slack, top block first,
-    # keeping the receiving pair totals pinned at b.
+    # keeping the receiving pair totals pinned at b.  The room at i,
+    # min(slack_i, ..., slack_{k-1}), caps what players 1..i may still take.
+    # Players above top are locked, room is the room at top, and below is
+    # P_{top-1}.
+    top, room = k - 1, spare
+    below = spare + pairs - p[k - 1]
+    row_k = grid[k]
+    # Until a re-sort, v = p + grid[.][k], each player's score when the step
+    # began, is nondecreasing, so the cap left shrinks up every tie block.
+    ordered = True
     while missing > 0 and spare > 0:
+        cap = a if deficit > 0 else b
         x = top
-        while x >= 1 and (
-            grid[x][k] == b or (deficit > 0 and grid[x][k] >= a)
-        ):
+        while x >= 1 and grid[x][k] >= cap:
             x -= 1
+            room = min(room, below - a * x * (x - 1) // 2)
+            below -= p[x]
         if x == 0:
             break
-        low = x
-        while low - 1 >= 1 and p[low - 1] == p[x]:
-            low -= 1
-        while settled > low:
-            settled -= 1
-            room_after[settled] = min(slack[settled], room_after[settled + 1])
-        freq = x - low + 1
-        gap = p[x] - p[low - 1]
-        per_member = min(
-            b, gap, ceil_div(room_after[x], freq), ceil_div(missing, freq)
-        )
-        if per_member <= 0:
-            break
-        handed = 0
-        short = deficit > 0
-        for idx in range(low, x + 1):
-            if missing == 0:
+        # The fill: members low..x stand at `level` while p and grid still
+        # hold what they had when they joined; p[i] - level is owed to each.
+        # A round whose hand-out fits the budget is taken whole: members get
+        # per_member, or their cap if that is less, and those that reach it
+        # settle at v - cap above the rest, so the block stays sorted.
+        level = p[x]
+        low = j = x
+        while j >= low:
+            x = j
+            while p[low - 1] == level and low > 1:
+                low -= 1
+                below -= level
+            width = x - low + 1
+            gap = level - p[low - 1]
+            avail = min(missing, room)
+            per_member = min(b, gap, -(-avail // width))
+            if per_member <= 0 or not ordered:
                 break
+            floor = level - per_member
+            handed = width * per_member
+            # members above j reach their cap: v - cap >= floor
+            full = floor + cap
+            while j >= low and (v := p[j] + grid[j][k]) >= full:
+                handed -= v - full
+                j -= 1
+            # slack over a tie block is concave, so the room at any member
+            # is at least min(slack_low, room)
+            if (
+                handed > avail
+                or handed > below + level - a * low * (low - 1) // 2
+                or 0 < deficit <= handed
+            ):
+                break
+            missing -= handed
+            spare -= handed
+            room -= handed
+            if deficit:
+                deficit -= handed
+            level = floor
+            if j < x:
+                # settle the capped members; their slack joins the room
+                slack = below + (j - low + 1) * level - a * j * (j - 1) // 2
+                room = min(room, slack)
+                for i in range(j + 1, x + 1):
+                    row = grid[i]
+                    owed = cap - row[k]
+                    p[i] -= owed
+                    row[k] = cap
+                    row_k[i] -= owed
+                    slack += p[i] - a * (i - 1)
+                    room = min(room, slack)
+        else:
+            top = low
+            continue
+        # The round that meets the quota, spends the budget, has nothing to
+        # hand or follows a re-sort goes member by member.  Each member takes
+        # what it is owed and its share, capped by the room at it, which is
+        # min(slack_i, room) by the same concavity.
+        short = deficit > 0
+        handed = 0
+        slack = below - a * (low - 1) * (low - 2) // 2
+        for i in range(low, x + 1):
+            slack += level - a * (i - 1)
+            row = grid[i]
+            owed = p[i] - level
+            got = row[k] + owed
             y = min(
-                b - grid[idx][k],
+                (a if deficit > 0 else b) - got,
                 per_member,
-                missing,
-                room_after[idx] - handed,
-                p[idx],
+                min(avail, slack) - handed,
             )
-            room = a - grid[idx][k]
-            if deficit > 0:
-                y = min(y, max(0, room))
-            if y <= 0:
-                continue
-            if room > 0:
-                deficit = max(0, deficit - min(y, room))
-            grid[idx][k] += y
-            grid[k][idx] -= y
-            p[idx] -= y
-            missing -= y
-            handed += y
+            if y > 0:
+                if deficit > 0:
+                    deficit = max(0, deficit - y)
+                handed += y
+                owed += y
+            p[i] -= owed
+            row[k] += owed
+            row_k[i] -= owed
+        missing -= handed
         if handed == 0:
             break
-        # per_member <= gap keeps the block between its neighbours, and every
-        # prefix sum from x on drops by exactly `handed`
-        _restore_order(p, grid, k, low, x)
+        if _restore_order(p, grid, k, low, x):
+            ordered = False
         spare -= handed
         if short and deficit == 0:  # quota met: players above x unlock
-            _fill_slack(slack, p, a, 1, k)
-            room_after = slack[:]
-            settled = top = k - 1
-            continue
-        _fill_slack(slack, p, a, low, x)
-        room_after[x] -= handed
-        settled = top = x
+            top, room = k - 1, spare
+            below = spare + pairs - p[k - 1]
+        else:
+            top, room = x, room - handed
+            below += sum(p[low:x])
 
-    # Phase 2: plain forfeits, lowering pair totals toward a.
-    while missing > 0:
-        shed_any = False
-        for i in range(k - 1, 0, -1):
-            if missing == 0:
-                break
-            y = min(grid[k][i], missing, grid[k][i] + grid[i][k] - a)
-            if y > 0:
-                grid[k][i] -= y
-                missing -= y
-                shed_any = True
-        if not shed_any:
-            raise InfeasiblePrefix(
-                f"player {k} still holds {missing} surplus points with every "
-                f"pair total already at the floor {a}"
-            )
+    # Phase 2: plain forfeits, lowering pair totals from b toward a.  One
+    # pass suffices: each pair it leaves open is at 0 or at the floor.
+    for i in range(k - 1, 0, -1):
+        if missing == 0:
+            break
+        y = min(row_k[i], b - a, missing)
+        row_k[i] -= y
+        missing -= y
+    if missing:
+        raise InfeasiblePrefix(
+            f"player {k} still holds {missing} surplus points with every "
+            f"pair total already at the floor {a}"
+        )
 
 
 def mini_max(D: ScoreSequence) -> tuple[ExtremalSummary, PointMatrix]:
@@ -250,10 +296,8 @@ def mini_max(D: ScoreSequence) -> tuple[ExtremalSummary, PointMatrix]:
     a, b = summary.g, summary.f
     n = D.n
 
-    grid = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        for j in range(1, i):
-            grid[i][j] = b
+    grid = [[0] * (n + 1)]
+    grid += ([0] + [b] * (i - 1) + [0] * (n + 1 - i) for i in range(1, n + 1))
     p = [0, *D.scores]
 
     params = IntervalParams(a, b)

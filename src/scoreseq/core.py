@@ -276,14 +276,14 @@ def verify_realization(
         failures.append(f"sorted row sums {tuple(sums)} != scores {D.scores}")
 
     window_ok = True
-    for i in range(M.n):
-        for j in range(i + 1, M.n):
-            t = M.entries[i][j] + M.entries[j][i]
-            if not params.a <= t <= params.b:
+    entries = M.entries
+    a, b = params.a, params.b
+    for i, row in enumerate(entries):
+        for j in range(i + 1, len(row)):
+            t = row[j] + entries[j][i]
+            if not a <= t <= b:
                 window_ok = False
-                failures.append(
-                    f"pair ({i},{j}) total {t} outside [{params.a},{params.b}]"
-                )
+                failures.append(f"pair ({i},{j}) total {t} outside [{a},{b}]")
     return RealizationReport(
         zero_diagonal=diag_ok,
         row_sums_match=sums_ok,

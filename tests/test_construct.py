@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scoreseq import (
@@ -11,6 +11,7 @@ from scoreseq import (
     IntervalParams,
     ScoreSequence,
     bound_e,
+    ceil_div,
     extremal_summary,
     matrix_stats,
     mini_max,
@@ -90,6 +91,131 @@ def _primed_state(scores, b):
     return n, [0, *scores], grid
 
 
+def _fill_slack(slack: list[int], p: list[int], a: int, start: int, stop: int) -> None:
+    """Set slack[i] = P_i - a*B_i, the slack of players 1..i, for start <= i < stop.
+
+    P_i is the prefix sum of p and B_i = i(i-1)/2 counts the pairs among
+    players 1..i, so A[i] - A[i-1] = p[i] - a*(i-1) and A[0] = 0; slack[start-1]
+    must already be current.  Filled over 1..k-1 when a step starts and when
+    its quota is met; a hand-out round refills only its block.
+    """
+    for i in range(start, stop):
+        slack[i] = slack[i - 1] + p[i] - a * (i - 1)
+
+
+def _reference_slicing(
+    k: int, p: list[int], grid: list[list[int]], params: IntervalParams
+) -> None:
+    """The hand-out round loop that preceded the level fill, kept verbatim.
+
+    One round per tie block: every member of the block is visited with a
+    five-way min, the block is re-sorted and its slack refilled.  Tests hold
+    ``score_slicing`` equal to it on ``p`` and ``grid``.
+    """
+    a, b = params.a, params.b
+    if k < 3:
+        raise ValueError(f"slicing needs at least 3 unsettled players, got {k}")
+
+    missing = (k - 1) * b - p[k]
+    if missing < 0:
+        raise InfeasiblePrefix(f"score p[{k}]={p[k]} exceeds ({k - 1})*b={b * (k - 1)}")
+    # room_after[i] = min(slack[i..k-1]) caps a hand-out to player i.  Only
+    # slack below top and room_after on settled..top are kept current: lower
+    # room is filled in when a block reaches it, and the players above top
+    # are locked, so nothing reads their entries.
+    slack = [0] * k
+    _fill_slack(slack, p, a, 1, k)
+    room_after = slack[:]
+    settled = top = k - 1
+    spare = slack[k - 1]
+
+    # Every pair total must end up at least a, so forfeits alone can shed at
+    # most (k-1)*(b-a) points and this many must leave via hand-outs that
+    # take a player's winnings against k from below a toward a.  Hand-outs
+    # beyond a per player are allowed only once this quota is met, otherwise
+    # they starve the forfeit phase.
+    deficit = max(0, (k - 1) * a - p[k])
+
+    # Phase 1: hand surplus to players that still hold slack, top block first,
+    # keeping the receiving pair totals pinned at b.
+    while missing > 0 and spare > 0:
+        x = top
+        while x >= 1 and (
+            grid[x][k] == b or (deficit > 0 and grid[x][k] >= a)
+        ):
+            x -= 1
+        if x == 0:
+            break
+        low = x
+        while low - 1 >= 1 and p[low - 1] == p[x]:
+            low -= 1
+        while settled > low:
+            settled -= 1
+            room_after[settled] = min(slack[settled], room_after[settled + 1])
+        freq = x - low + 1
+        gap = p[x] - p[low - 1]
+        per_member = min(
+            b, gap, ceil_div(room_after[x], freq), ceil_div(missing, freq)
+        )
+        if per_member <= 0:
+            break
+        handed = 0
+        short = deficit > 0
+        for idx in range(low, x + 1):
+            if missing == 0:
+                break
+            y = min(
+                b - grid[idx][k],
+                per_member,
+                missing,
+                room_after[idx] - handed,
+                p[idx],
+            )
+            room = a - grid[idx][k]
+            if deficit > 0:
+                y = min(y, max(0, room))
+            if y <= 0:
+                continue
+            if room > 0:
+                deficit = max(0, deficit - min(y, room))
+            grid[idx][k] += y
+            grid[k][idx] -= y
+            p[idx] -= y
+            missing -= y
+            handed += y
+        if handed == 0:
+            break
+        # per_member <= gap keeps the block between its neighbours, and every
+        # prefix sum from x on drops by exactly `handed`
+        _restore_order(p, grid, k, low, x)
+        spare -= handed
+        if short and deficit == 0:  # quota met: players above x unlock
+            _fill_slack(slack, p, a, 1, k)
+            room_after = slack[:]
+            settled = top = k - 1
+            continue
+        _fill_slack(slack, p, a, low, x)
+        room_after[x] -= handed
+        settled = top = x
+
+    # Phase 2: plain forfeits, lowering pair totals toward a.
+    while missing > 0:
+        shed_any = False
+        for i in range(k - 1, 0, -1):
+            if missing == 0:
+                break
+            y = min(grid[k][i], missing, grid[k][i] + grid[i][k] - a)
+            if y > 0:
+                grid[k][i] -= y
+                missing -= y
+                shed_any = True
+        if not shed_any:
+            raise InfeasiblePrefix(
+                f"player {k} still holds {missing} surplus points with every "
+                f"pair total already at the floor {a}"
+            )
+
+
 class TestScoreSlicing:
     def test_six_player_first_slice(self):
         k, p, grid = _primed_state(SCORES_SIX, b=9)
@@ -121,10 +247,49 @@ class TestScoreSlicing:
         with pytest.raises(InfeasiblePrefix):
             score_slicing(k, p, grid, IntervalParams(0, 3))
 
+    def test_surplus_left_after_forfeits_raises(self):
+        # players 1 and 2 cannot give their own pair 3 points, so nothing is
+        # handed out and the one forfeit pass leaves a point of surplus
+        k, p, grid = _primed_state((0, 0, 5), b=3)
+        with pytest.raises(InfeasiblePrefix, match="player 3 still holds 1 surplus points"):
+            score_slicing(k, p, grid, IntervalParams(3, 3))
+
     def test_needs_three_open_players(self):
         k, p, grid = _primed_state((1, 1), b=2)
         with pytest.raises(ValueError):
             score_slicing(k, p, grid, IntervalParams(0, 2))
+
+
+class TestSlicingMatchesRounds:
+    @pytest.mark.parametrize("floor", ["zero", "positive"])
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_step_equals_round_loop(self, floor, data):
+        # a feasible window [a, b] holds [g, f]; earlier steps run by the
+        # reference leave settled columns and relabels behind
+        n = data.draw(st.integers(3, 16), label="n")
+        lo = data.draw(st.integers(0, 40), label="lo")
+        span = data.draw(st.integers(0, 60), label="span")
+        scores = data.draw(
+            st.lists(st.integers(lo, lo + span), min_size=n, max_size=n), label="scores"
+        )
+        summary = extremal_summary(ScoreSequence(tuple(sorted(scores))))
+        if floor == "zero":
+            a = 0
+        else:
+            assume(summary.g > 0)
+            a = data.draw(st.integers(1, summary.g), label="a")
+        b = summary.f + data.draw(st.integers(0, 2), label="b - f")
+        params = IntervalParams(a, b)
+        _, p, grid = _primed_state(sorted(scores), b)
+        k = data.draw(st.integers(3, n), label="k")
+        for step in range(n, k, -1):
+            _reference_slicing(step, p, grid, params)
+        p_ref, grid_ref = p[:], [row[:] for row in grid]
+        _reference_slicing(k, p_ref, grid_ref, params)
+        score_slicing(k, p, grid, params)
+        assert p == p_ref
+        assert grid == grid_ref
 
 
 def _full_relabel(p, grid, k):
@@ -224,10 +389,12 @@ class TestMiniMax:
         # with d <= 6: 6,711 inputs
         grids = [(n, 8) for n in range(2, 7)] + [(7, 6)]
         checked = 0
+        digest = hashlib.sha256()
         for n, d_max in grids:
             for seq in itertools.combinations_with_replacement(range(d_max + 1), n):
                 D = ScoreSequence(seq)
                 summary, M = mini_max(D)
+                digest.update(repr(M.entries).encode())
                 report = verify_realization(
                     M, D, IntervalParams(summary.g, summary.f)
                 )
@@ -238,11 +405,17 @@ class TestMiniMax:
                 assert stats.min_pair_total == summary.g, seq
                 checked += 1
         assert checked == 6711
+        assert digest.hexdigest() == self.GOLDEN_EXHAUSTIVE
 
     # SHA-256 of repr(M.entries), pinned from the rescanning slicing step
     # that preceded the incremental bookkeeping; the matrices must not change
     GOLDEN_CRITERION_6 = (
         "245d981ed544053688a0d3060d5901f94ccacf7b4288ed24d1c240f69d726a10"
+    )
+    # the exhaustive grid above re-sorts a tie block 171 times, the other
+    # pinned inputs 9 times between them
+    GOLDEN_EXHAUSTIVE = (
+        "aed5be631dd6e523cdb286dfd2f3cc7a28ecbdbdc075acb30c412dbab6eea15d"
     )
     GOLDEN_BENCH = {
         100: "9c104e25e9a5d3e8f6ed434c5bca38f9a8bdefcf4755afc4cb18e4c78672bf0a",
