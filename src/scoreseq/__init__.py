@@ -9,7 +9,6 @@ total), and construct witness matrices including a minimax-balanced one.
 from .analysis import (
     bound_e,
     extremal_summary,
-    f_search_interval,
     interval_test,
     max_g,
     min_f,
@@ -18,7 +17,6 @@ from .construct import (
     mini_max,
     naive_construct,
     pigeonhole_construct,
-    score_slicing,
 )
 from .core import (
     ExtremalSummary,
@@ -34,7 +32,6 @@ from .core import (
     ScoreSequence,
     ShapeMismatch,
     TournamentError,
-    ceil_div,
     matrix_stats,
     normalize_sequence,
     verify_realization,
@@ -68,10 +65,8 @@ __all__ = [
     "TournamentError",
     "__version__",
     "bound_e",
-    "ceil_div",
     "enumerate_extremes",
     "extremal_summary",
-    "f_search_interval",
     "interval_test",
     "landau_test",
     "matrix_stats",
@@ -82,7 +77,6 @@ __all__ = [
     "naive_construct",
     "normalize_sequence",
     "pigeonhole_construct",
-    "score_slicing",
     "sweep",
     "verify_realization",
 ]

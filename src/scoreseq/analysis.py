@@ -19,6 +19,7 @@ score.  All arithmetic is exact; no floating point is used anywhere.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from itertools import accumulate
 
 from .core import ExtremalSummary, IntervalParams, ScoreSequence, ceil_div
@@ -72,6 +73,17 @@ def f_search_interval(D: ScoreSequence) -> tuple[int, int]:
     return lo, 2 * h
 
 
+def _bisect(lo: int, hi: int, ok: Callable[[int], bool]) -> int:
+    """Smallest x in (lo, hi] with ok(x), for ok monotone, false at lo, true at hi."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def min_f(D: ScoreSequence) -> int:
     """Smallest b such that D is realizable with all pair totals <= b.
 
@@ -80,16 +92,8 @@ def min_f(D: ScoreSequence) -> int:
     O(n log(d_n / n)) time.
     """
     lo, hi = f_search_interval(D)
-    if interval_test(D, IntervalParams(0, lo)):
-        return lo
-    # invariant: lo infeasible, hi feasible
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if interval_test(D, IntervalParams(0, mid)):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    feasible = lambda b: interval_test(D, IntervalParams(0, b))
+    return lo if feasible(lo) else _bisect(lo, hi, feasible)
 
 
 def min_f_closed_form(D: ScoreSequence) -> int:
@@ -132,15 +136,8 @@ def max_g_by_search(D: ScoreSequence, f: int) -> int:
     """Binary-search evaluation of g, used to cross-check the closed form."""
     if interval_test(D, IntervalParams(f, f)):
         return f
-    # invariant: lo feasible, hi infeasible
-    lo, hi = 0, f
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if interval_test(D, IntervalParams(mid, f)):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    # floor 0 is feasible and f is not; g + 1 is the first infeasible floor
+    return _bisect(0, f, lambda a: not interval_test(D, IntervalParams(a, f))) - 1
 
 
 def extremal_summary(D: ScoreSequence) -> ExtremalSummary:

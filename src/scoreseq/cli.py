@@ -120,10 +120,6 @@ def generate_scores(n: int, d_max: int, seed: int) -> ScoreSequence:
     return ScoreSequence(tuple(sorted(rng.randint(0, d_max) for _ in range(n))))
 
 
-def scores_checksum(D: ScoreSequence) -> int:
-    return zlib.crc32(repr(D.scores).encode())
-
-
 def _best_time(fn, repeats: int) -> float:
     best = None
     for _ in range(repeats):
@@ -244,8 +240,8 @@ def _cmd_oracle(args: argparse.Namespace) -> Outcome:
         pair_cap=pair_cap,
         a_floor=args.a_floor,
         budget=_oracle_budget(args),
-        keep_witness=not args.no_witness,
     )
+    witness = None if args.no_witness else result.witness
     fields = {
         "realizable": result.realizable,
         "count": result.count,
@@ -256,13 +252,13 @@ def _cmd_oracle(args: argparse.Namespace) -> Outcome:
         "min_E": result.min_E,
     }
     payload = dict(fields)
-    if result.witness is not None:
-        payload["witness"] = [list(row) for row in result.witness.entries]
+    if witness is not None:
+        payload["witness"] = [list(row) for row in witness.entries]
 
     def table() -> str:
         lines = [f"{key} = {value}" for key, value in fields.items()]
-        if result.witness is not None:
-            lines.append(_matrix_table(result.witness))
+        if witness is not None:
+            lines.append(_matrix_table(witness))
         return "\n".join(lines)
 
     csv_keys = ("realizable", "count", "min_F", "max_G", "min_E")
@@ -317,7 +313,7 @@ def _cmd_bench(args: argparse.Namespace) -> Outcome:
             best = _best_time(fn, args.repeats)
             rows.append(
                 f"{name},{n},{d_max},{args.seed},{args.repeats},"
-                f"{best:.6f},{scores_checksum(D)}"
+                f"{best:.6f},{zlib.crc32(repr(D.scores).encode())}"
             )
     return EXIT_OK, None, {"csv": lambda: "\n".join(rows)}
 

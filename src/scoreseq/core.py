@@ -13,7 +13,7 @@ operations are pure functions and safe to call concurrently.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 # Sizes above this would make b * B_n products astronomically large and are
@@ -212,7 +212,7 @@ class RealizationReport:
     zero_diagonal: bool
     row_sums_match: bool
     pair_totals_in_window: bool
-    failures: tuple[str, ...] = field(default_factory=tuple)
+    failures: tuple[str, ...] = ()
 
     @property
     def valid(self) -> bool:
@@ -236,18 +236,16 @@ def matrix_stats(M: PointMatrix) -> MatrixStats:
     """Largest entry, largest/smallest pair total (over i<j), and row sums."""
     n = M.n
     rows = M.entries
-    max_entry = max(max(row) for row in rows)
-    max_total = None
-    min_total = None
+    max_total = min_total = rows[0][1] + rows[1][0]
     for i in range(n):
         for j in range(i + 1, n):
             t = rows[i][j] + rows[j][i]
-            if max_total is None or t > max_total:
+            if t > max_total:
                 max_total = t
-            if min_total is None or t < min_total:
+            elif t < min_total:
                 min_total = t
     return MatrixStats(
-        max_entry=max_entry,
+        max_entry=max(map(max, rows)),
         max_pair_total=max_total,
         min_pair_total=min_total,
         row_sums=M.row_sums(),

@@ -53,10 +53,10 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
-from .analysis import bound_e, extremal_summary, interval_test
+from .analysis import extremal_summary, interval_test
 from .core import IntervalParams, OracleBudgetExceeded, PointMatrix, ScoreSequence
 
 DEFAULT_BUDGET = 10**8
@@ -187,10 +187,10 @@ def enumerate_extremes(
     pair_cap: int,
     a_floor: int = 0,
     budget: int = DEFAULT_BUDGET,
-    keep_witness: bool = True,
 ) -> OracleResult:
     """Exhaust all realizations of D with pair totals in [a_floor, pair_cap].
 
+    Counts them, takes their exact extremes and keeps the first one as witness.
     A pair_cap below ceil(d_n/(n-1)) leaves no room for the top row, so the
     searched space is empty and the result is (correctly) not realizable;
     for exact f/g/e extraction call with pair_cap = 2 * d_n, which contains
@@ -213,7 +213,7 @@ def enumerate_extremes(
             max_G = G
         if min_E is None or E < min_E:
             min_E = E
-        if keep_witness and witness is None:
+        if witness is None:
             witness = PointMatrix.from_rows(grid)
 
     _walk(D, pair_cap, a_floor, budget, leaf)
@@ -294,16 +294,11 @@ class SweepReport:
     sequences: int
     by_length: dict[int, int]
     comparisons: int
-    mismatches: tuple[str, ...] = field(default_factory=tuple)
+    mismatches: tuple[str, ...] = ()
 
     @property
     def clean(self) -> bool:
         return not self.mismatches
-
-
-def nondecreasing_sequences(n: int, d_max: int):
-    """All nondecreasing integer sequences of length n with entries in 0..d_max."""
-    return itertools.combinations_with_replacement(range(d_max + 1), n)
 
 
 def sweep(
@@ -346,11 +341,11 @@ def sweep(
     top = -1
     for n in range(2, n_max + 1):
         cnt = 0
-        for seq in nondecreasing_sequences(n, d_max):
+        for seq in itertools.combinations_with_replacement(range(d_max + 1), n):
             cnt += 1
             D = ScoreSequence(seq)
             summary = extremal_summary(D)
-            h = bound_e(D)
+            h = summary.e
             cap = 2 * h + 1
 
             points = _frontier(D, cap, budget)

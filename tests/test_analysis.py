@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,12 +10,12 @@ from scoreseq import (
     ScoreSequence,
     bound_e,
     extremal_summary,
-    f_search_interval,
     interval_test,
     max_g,
     min_f,
 )
-from scoreseq.analysis import max_g_by_search, min_f_closed_form
+from scoreseq import analysis
+from scoreseq.analysis import f_search_interval, max_g_by_search, min_f_closed_form
 
 from golden import SCORES_SIX
 
@@ -179,6 +182,26 @@ class TestClosedFormCrossChecks:
     def test_g_search_agrees_with_closed_form(self, D):
         f = min_f(D)
         assert max_g_by_search(D, f) == max_g(D)
+
+
+def test_search_probes_are_pinned(monkeypatch):
+    # every window min_f and max_g_by_search hand to interval_test, in
+    # order, with its answer, over all n <= 5, d <= 6 sequences
+    probes = hashlib.sha256()
+
+    def probe(D, params):
+        answer = interval_test(D, params)
+        probes.update(repr((D.scores, params.a, params.b, answer)).encode())
+        return answer
+
+    monkeypatch.setattr(analysis, "interval_test", probe)
+    for n in range(2, 6):
+        for seq in itertools.combinations_with_replacement(range(7), n):
+            D = ScoreSequence(seq)
+            max_g_by_search(D, min_f(D))
+    assert probes.hexdigest() == (
+        "30cdda0774b5fe10e48a33f6cbabe7a92f47f14825efa23092529cc25b07fda2"
+    )
 
 
 class TestExtremalSummary:

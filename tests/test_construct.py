@@ -11,17 +11,16 @@ from scoreseq import (
     IntervalParams,
     ScoreSequence,
     bound_e,
-    ceil_div,
     extremal_summary,
     matrix_stats,
     mini_max,
     naive_construct,
     pigeonhole_construct,
-    score_slicing,
     verify_realization,
 )
 from scoreseq.cli import generate_scores
-from scoreseq.construct import _restore_order
+from scoreseq.construct import _restore_order, score_slicing
+from scoreseq.core import ceil_div
 
 from golden import SCORES_SIX, TABLE_BALANCED
 

@@ -11,12 +11,12 @@ from scoreseq import (
     ScoreSequence,
     ShapeMismatch,
     TournamentError,
-    ceil_div,
     matrix_stats,
     naive_construct,
     normalize_sequence,
     verify_realization,
 )
+from scoreseq.core import ceil_div
 
 from golden import SCORES_SIX, TABLE_BALANCED, TABLE_UNBALANCED, TABLE_WIDE
 

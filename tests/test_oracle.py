@@ -215,7 +215,7 @@ class TestFrontier:
                 D = ScoreSequence(seq)
                 cap = 2 * bound_e(D) + 1
                 points = oracle._frontier(D, cap, oracle.DEFAULT_BUDGET)
-                full = enumerate_extremes(D, cap, keep_witness=False)
+                full = enumerate_extremes(D, cap)
                 assert min(F for F, _, _ in points) == full.min_F, seq
                 assert max(G for _, G, _ in points) == full.max_G, seq
                 assert min(E for _, _, E in points) == full.min_E, seq
