@@ -18,7 +18,8 @@ json (the default), csv or table for the five commands that take scores,
 and json or table for ``sweep``; ``bench`` writes CSV only.  In CSV mode
 ``reconstruct`` and ``verify`` put their verification notes on stderr, after
 the CSV.  Exit codes: 0 ok, 1 negative answer (not realizable / invalid
-matrix / sweep mismatch), 2 usage or input error, 3 oracle budget exceeded.
+matrix / sweep mismatch), 2 usage, input or output error, 3 oracle budget
+exceeded.
 """
 
 from __future__ import annotations
@@ -26,15 +27,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
-import time
-import zlib
-from dataclasses import asdict
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
+# construct and oracle load only in the commands that use them
 from .analysis import bound_e, extremal_summary, interval_test, min_f
-from .construct import _cycle_matrix, mini_max, pigeonhole_construct
 from .core import (
     IntervalParams,
     OracleBudgetExceeded,
@@ -45,7 +42,6 @@ from .core import (
     normalize_sequence,
     verify_realization,
 )
-from .oracle import DEFAULT_BUDGET, enumerate_extremes, sweep
 
 BUDGET_ENV_VAR = "SCORESEQ_ORACLE_BUDGET"
 
@@ -116,11 +112,15 @@ def _matrix_table(M: PointMatrix) -> str:
 
 def generate_scores(n: int, d_max: int, seed: int) -> ScoreSequence:
     """Seeded random nondecreasing sequence for benchmarking."""
+    import random
+
     rng = random.Random(f"{seed}:{n}:{d_max}")
     return ScoreSequence(tuple(sorted(rng.randint(0, d_max) for _ in range(n))))
 
 
 def _best_time(fn, repeats: int) -> float:
+    import time
+
     best = None
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -162,6 +162,8 @@ def _cmd_test(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_reconstruct(args: argparse.Namespace) -> Outcome:
+    from .construct import _cycle_matrix, mini_max, pigeonhole_construct
+
     raw = _load_scores(args)
     D, perm = normalize_sequence(raw)
     payload = {}
@@ -186,8 +188,8 @@ def _cmd_reconstruct(args: argparse.Namespace) -> Outcome:
         scores=list(D.scores),
         permutation=list(perm),
         matrix=[list(row) for row in M.entries],
-        stats=asdict(matrix_stats(M)),
-        report={**asdict(report), "valid": report.valid},
+        stats=matrix_stats(M)._asdict(),
+        report={**report._asdict(), "valid": report.valid},
     )
     return EXIT_OK if report.valid else EXIT_NEGATIVE, payload, {
         "csv": lambda: (_matrix_csv(M), f"verify: valid={report.valid}"),
@@ -206,8 +208,8 @@ def _cmd_verify(args: argparse.Namespace) -> Outcome:
         "valid": report.valid,
         "a": params.a,
         "b": params.b,
-        "report": {**asdict(report), "valid": report.valid},
-        "stats": asdict(matrix_stats(M)),
+        "report": {**report._asdict(), "valid": report.valid},
+        "stats": matrix_stats(M)._asdict(),
     }
     return EXIT_OK if report.valid else EXIT_NEGATIVE, payload, {
         "csv": lambda: (_csv({"valid": report.valid}), "\n".join(report.failures)),
@@ -216,6 +218,8 @@ def _cmd_verify(args: argparse.Namespace) -> Outcome:
 
 
 def _oracle_budget(args: argparse.Namespace) -> int:
+    from .oracle import DEFAULT_BUDGET
+
     budget = args.budget
     if budget is None:
         env = os.environ.get(BUDGET_ENV_VAR)
@@ -233,6 +237,8 @@ def _oracle_budget(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> Outcome:
+    from .oracle import enumerate_extremes
+
     D, _ = normalize_sequence(_load_scores(args))
     pair_cap = args.pair_cap if args.pair_cap is not None else 2 * bound_e(D)
     result = enumerate_extremes(
@@ -269,6 +275,8 @@ def _cmd_oracle(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> Outcome:
+    from .oracle import sweep
+
     budget = _oracle_budget(args)
     report = sweep(args.n_max, args.d_max, moon_c_max=args.moon_c_max, budget=budget)
     payload = {
@@ -285,6 +293,10 @@ def _cmd_sweep(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_bench(args: argparse.Namespace) -> Outcome:
+    import zlib
+
+    from .construct import mini_max
+
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     unknown = set(algorithms) - {"interval-test", "min-f", "minimax"}
     if unknown:
@@ -407,7 +419,16 @@ def run(argv: Sequence[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     out, note = text if isinstance(text, tuple) else (text, "")
-    print(out)
+    try:
+        print(out, flush=True)
+    except OSError as exc:  # say, a closed pipe
+        # point stdout at devnull, so the interpreter's flush at exit cannot
+        # fail on the same unwritten output again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     if note:
         print(note, file=sys.stderr)
     return code

@@ -31,7 +31,7 @@ round can re-sort its block.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .analysis import extremal_summary
 from .core import (

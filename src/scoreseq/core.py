@@ -13,8 +13,7 @@ operations are pure functions and safe to call concurrently.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 # Sizes above this would make b * B_n products astronomically large and are
 # far outside anything the algorithms are meant for.
@@ -53,6 +52,48 @@ class OracleBudgetExceeded(TournamentError, RuntimeError):
     """The exhaustive search would exceed its state budget."""
 
 
+class _Value:
+    """Immutable value over its ``__slots__`` fields.
+
+    Equality (same class only), hash and repr run over the fields in slot
+    order; ``__reduce__`` rebuilds through ``__init__``, so pickle and
+    deepcopy never assign to a field.
+    """
+
+    __slots__ = ()
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def _asdict(self) -> dict:
+        return dict(zip(self.__slots__, self._values()))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{k}={v!r}" for k, v in self._asdict().items())
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def ceil_div(num: int, den: int) -> int:
     """Exact ceiling of num/den for integers, den > 0."""
     return -((-num) // den)
@@ -88,20 +129,19 @@ def _validate_scores(scores: Sequence[int]) -> None:
         raise ValueError("sequence length exceeds supported magnitude")
 
 
-@dataclass(frozen=True)
-class ScoreSequence:
+class ScoreSequence(_Value):
     """Nondecreasing nonnegative integer scores d_1 <= ... <= d_n, n >= 2."""
 
-    scores: tuple[int, ...]
+    __slots__ = ("scores",)
 
-    def __post_init__(self) -> None:
-        s = _as_ints(self.scores, "score")
-        object.__setattr__(self, "scores", s)
+    def __init__(self, scores: Iterable[int]) -> None:
+        s = _as_ints(scores, "score")
         _validate_scores(s)
         if not all(map(operator.le, s, s[1:])):
             raise ValueError(
                 "scores must be nondecreasing; use normalize_sequence first"
             )
+        self._fill(s)
 
     @property
     def n(self) -> int:
@@ -117,19 +157,17 @@ class ScoreSequence:
         return self.scores[i]
 
 
-@dataclass(frozen=True)
-class PointMatrix:
+class PointMatrix(_Value):
     """Square nonnegative integer matrix of match results, zero diagonal.
 
     ``entries[i][j]`` is the number of points player i won against player j
     (0-based indices).
     """
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        rows = tuple(_as_ints(row, "matrix entry") for row in self.entries)
-        object.__setattr__(self, "entries", rows)
+    def __init__(self, entries: Iterable[Iterable[int]]) -> None:
+        rows = tuple(_as_ints(row, "matrix entry") for row in entries)
         n = len(rows)
         if n < 2:
             raise InputTooShort(f"need at least 2 players, got {n}")
@@ -141,6 +179,7 @@ class PointMatrix:
             if min(row) < 0:
                 j = next(j for j, v in enumerate(row) if v < 0)
                 raise ValueError(f"entry [{i}][{j}] = {row[j]} is negative")
+        self._fill(rows)
 
     @property
     def n(self) -> int:
@@ -154,33 +193,36 @@ class PointMatrix:
         return cls(tuple(tuple(row) for row in rows))
 
 
-@dataclass(frozen=True)
-class IntervalParams:
+class IntervalParams(_Value):
     """Per-pair point window: every pair total must lie in [a, b]."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        if type(self.a) is not int or type(self.b) is not int:
-            object.__setattr__(self, "a", _as_int(self.a, "a"))
-            object.__setattr__(self, "b", _as_int(self.b, "b"))
-        if not 0 <= self.a <= self.b:
-            raise ValueError(f"need 0 <= a <= b, got a={self.a}, b={self.b}")
+    def __init__(self, a: int, b: int) -> None:
+        if type(a) is not int or type(b) is not int:
+            a, b = _as_int(a, "a"), _as_int(b, "b")
+        if not 0 <= a <= b:
+            raise ValueError(f"need 0 <= a <= b, got a={a}, b={b}")
+        object.__setattr__(self, "a", a)  # no _fill: sweep builds many windows
+        object.__setattr__(self, "b", b)
 
 
-@dataclass(frozen=True)
-class MatrixStats:
+class MatrixStats(_Value):
     """Extremes of a point matrix: largest entry, largest and smallest pair total."""
 
-    max_entry: int
-    max_pair_total: int
-    min_pair_total: int
-    row_sums: tuple[int, ...]
+    __slots__ = ("max_entry", "max_pair_total", "min_pair_total", "row_sums")
+
+    def __init__(
+        self,
+        max_entry: int,
+        max_pair_total: int,
+        min_pair_total: int,
+        row_sums: tuple[int, ...],
+    ) -> None:
+        self._fill(max_entry, max_pair_total, min_pair_total, row_sums)
 
 
-@dataclass(frozen=True)
-class ExtremalSummary:
+class ExtremalSummary(_Value):
     """The three optimum parameters of a score sequence.
 
     e: smallest achievable largest single entry over all realizations.
@@ -189,30 +231,31 @@ class ExtremalSummary:
     f_search_lo/hi: the window that was guaranteed to contain f.
     """
 
-    e: int
-    f: int
-    g: int
-    f_search_lo: int
-    f_search_hi: int
+    __slots__ = ("e", "f", "g", "f_search_lo", "f_search_hi")
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.g <= self.f and self.e <= self.f):
-            raise ValueError(f"inconsistent summary e={self.e}, f={self.f}, g={self.g}")
-        if not self.f_search_lo <= self.f <= self.f_search_hi:
+    def __init__(self, e: int, f: int, g: int, f_search_lo: int, f_search_hi: int):
+        if not (0 <= g <= f and e <= f):
+            raise ValueError(f"inconsistent summary e={e}, f={f}, g={g}")
+        if not f_search_lo <= f <= f_search_hi:
             raise ValueError(
-                f"f={self.f} outside its search window "
-                f"[{self.f_search_lo}, {self.f_search_hi}]"
+                f"f={f} outside its search window [{f_search_lo}, {f_search_hi}]"
             )
+        self._fill(e, f, g, f_search_lo, f_search_hi)
 
 
-@dataclass(frozen=True)
-class RealizationReport:
+class RealizationReport(_Value):
     """Outcome of checking a matrix against a score sequence and a pair window."""
 
-    zero_diagonal: bool
-    row_sums_match: bool
-    pair_totals_in_window: bool
-    failures: tuple[str, ...] = ()
+    __slots__ = ("zero_diagonal", "row_sums_match", "pair_totals_in_window", "failures")
+
+    def __init__(
+        self,
+        zero_diagonal: bool,
+        row_sums_match: bool,
+        pair_totals_in_window: bool,
+        failures: tuple[str, ...] = (),
+    ) -> None:
+        self._fill(zero_diagonal, row_sums_match, pair_totals_in_window, failures)
 
     @property
     def valid(self) -> bool:

@@ -53,36 +53,44 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable
-from dataclasses import dataclass
 from math import comb
 
 from .analysis import extremal_summary, interval_test
-from .core import IntervalParams, OracleBudgetExceeded, PointMatrix, ScoreSequence
+from .core import (
+    IntervalParams,
+    OracleBudgetExceeded,
+    PointMatrix,
+    ScoreSequence,
+    _Value,
+)
 
 DEFAULT_BUDGET = 10**8
 MAX_ORACLE_PLAYERS = 6
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(_Value):
     """What exhaustion found: realizability, counts, and exact extremes.
 
     min_F / max_G / min_E may come from different witnesses; they are the
     exact optima over every realization inside the searched window.
     """
 
-    realizable: bool
-    count: int
-    min_F: int | None
-    max_G: int | None
-    min_E: int | None
-    witness: PointMatrix | None
+    __slots__ = ("realizable", "count", "min_F", "max_G", "min_E", "witness")
 
-    def __post_init__(self) -> None:
-        if self.realizable != (self.count > 0):
+    def __init__(
+        self,
+        realizable: bool,
+        count: int,
+        min_F: int | None,
+        max_G: int | None,
+        min_E: int | None,
+        witness: PointMatrix | None,
+    ) -> None:
+        if realizable != (count > 0):
             raise ValueError("realizable must mean count > 0")
-        if self.realizable and (self.min_F is None or self.max_G is None):
+        if realizable and (min_F is None or max_G is None):
             raise ValueError("extremes must be present for realizable input")
+        self._fill(realizable, count, min_F, max_G, min_E, witness)
 
 
 def _estimated_states(D: ScoreSequence, pair_cap: int) -> int:
@@ -287,14 +295,19 @@ def moon_test(D: ScoreSequence, c: int) -> bool:
     return all(S[k] >= c * (k * (k - 1) // 2) for k in range(1, n))
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(_Value):
     """Outcome of comparing the fast formulas against exhaustion."""
 
-    sequences: int
-    by_length: dict[int, int]
-    comparisons: int
-    mismatches: tuple[str, ...] = ()
+    __slots__ = ("sequences", "by_length", "comparisons", "mismatches")
+
+    def __init__(
+        self,
+        sequences: int,
+        by_length: dict[int, int],
+        comparisons: int,
+        mismatches: tuple[str, ...] = (),
+    ) -> None:
+        self._fill(sequences, by_length, comparisons, mismatches)
 
     @property
     def clean(self) -> bool:

@@ -158,10 +158,10 @@ class TestSweep:
         built = 0
 
         class Counting(IntervalParams):
-            def __post_init__(self):
+            def __init__(self, a, b):
                 nonlocal built
                 built += 1
-                super().__post_init__()
+                super().__init__(a, b)
 
         monkeypatch.setattr(oracle, "IntervalParams", Counting)
         assert sweep(3, 2).clean
