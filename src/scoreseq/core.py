@@ -147,15 +147,6 @@ class ScoreSequence(_Value):
     def n(self) -> int:
         return len(self.scores)
 
-    def __len__(self) -> int:
-        return len(self.scores)
-
-    def __iter__(self):
-        return iter(self.scores)
-
-    def __getitem__(self, i):
-        return self.scores[i]
-
 
 class PointMatrix(_Value):
     """Square nonnegative integer matrix of match results, zero diagonal.

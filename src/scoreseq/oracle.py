@@ -1,14 +1,13 @@
 """Exhaustive ground truth for small instances, plus classical cross-checks.
 
-One depth-first walk visits every point matrix with the given score sequence
-whose pair totals lie in [a_floor, pair_cap], over the unordered pairs in
-lexicographic order.  Within a pair it tries totals in ascending order and,
-for each total, ascending splits.  Row sums prune the search: once the last
-pair of a row is placed the row must be exactly spent.  The walk is
-deterministic, so counts are reproducible.  ``enumerate_extremes`` counts
-every realization the walk reaches; ``sweep`` walks each sequence once and
-keeps only the Pareto frontier of (F, G, E): largest pair total, smallest pair
-total and largest entry, with F and E as small and G as large as possible.
+``enumerate_extremes`` walks depth first over every point matrix with the
+given score sequence whose pair totals lie in [a_floor, pair_cap], placing
+the unordered pairs in lexicographic order, totals in ascending order and,
+for each total, ascending splits.  Row sums prune it: row i must be spent at
+its last pair (i, n-1).  The walk is deterministic, so counts are
+reproducible.  ``sweep`` instead computes the Pareto frontier of (F, G, E):
+largest pair total, smallest pair total and largest entry, with F and E as
+small and G as large as possible.
 
 Any realization has every pair total at most d_{n-1} + d_n, so pair_cap =
 2 * d_n makes the searched space the whole realization space.  The sweep
@@ -36,12 +35,16 @@ b <= C are exactly its first (C + 1)(C + 2)/2 rows.  The table grows a row
 of b at a time when a sequence needs a larger C, so it is never larger than
 the window loop of the sequence that needed it.
 
-The frontier walk cuts a branch once a point already found dominates the
-running values of its partial matrix (F' <= F, G' >= G, E' <= E).  That is
-sound because the pairs still to be placed can only raise F and E and lower
-G, so every realization below the cut is dominated as well; dominance is
-transitive, so dropping the points a new leaf dominates keeps the frontier
-exact.
+The frontier comes from a memoized dynamic programme.  Its state is (pair
+index k, remaining scores), and its value is the Pareto set of (F, G, E)
+over the state's completions: the ways to place pairs k, k+1, ... so that
+every row is spent.  Placing pair (i, j) with split (m_ij, m_ji) and total t
+maps each point of the child state to (max(F, t), min(G, t),
+max(E, m_ij, m_ji)).  That map is monotone in each coordinate, so a dominated
+child point stays dominated after it, and keeping only Pareto sets loses
+nothing.  The value depends on the state and the pair cap alone, so one
+memo keyed by (pair cap, pair index, remaining scores) serves every
+sequence of a sweep, and the budget counts the states it holds.
 
 ``landau_test`` and ``moon_test`` are the classical characterizations of
 score sequences of ordinary (one point per match) and c-point-per-match
@@ -52,7 +55,6 @@ diagonal windows (1,1) and (c,c).
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
 from math import comb
 
 from .analysis import extremal_summary, interval_test
@@ -105,24 +107,23 @@ def _estimated_states(D: ScoreSequence, pair_cap: int) -> int:
     return est
 
 
-def _walk(
+def enumerate_extremes(
     D: ScoreSequence,
     pair_cap: int,
-    a_floor: int,
-    budget: int,
-    leaf: Callable[[list[list[int]], int, int, int], None],
-    cut: Callable[[int, int, int], bool] | None = None,
-) -> None:
-    """Depth-first walk over every realization of D with pair totals in
-    [a_floor, pair_cap].
+    a_floor: int = 0,
+    budget: int = DEFAULT_BUDGET,
+) -> OracleResult:
+    """Exhaust all realizations of D with pair totals in [a_floor, pair_cap].
 
-    At each complete realization it calls ``leaf(grid, F, G, E)`` with the
-    largest pair total F, the smallest pair total G and the largest entry E.
-    Each pair state gets the running (F, G, E) of the partial matrix; if
-    ``cut`` returns true for it, the branch below is skipped.
+    Counts them, takes their exact extremes and keeps the first one as witness.
+    A pair_cap below ceil(d_n/(n-1)) leaves no room for the top row, so the
+    searched space is empty and the result is (correctly) not realizable;
+    for exact f/g/e extraction call with pair_cap = 2 * d_n, which contains
+    every realization.
 
-    Raises OracleBudgetExceeded beyond six players, or when the state
-    estimate or the visited pair states exceed the budget.
+    Raises OracleBudgetExceeded when the instance is too large (more than
+    six players, or the state estimate / actual visited states exceed the
+    budget).
     """
     n = D.n
     if pair_cap < 0:
@@ -138,14 +139,24 @@ def _walk(
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     rem = list(D.scores)
     grid = [[0] * n for _ in range(n)]
-    visited = 0
+    visited = count = 0
+    min_F = max_G = min_E = None
+    witness = None
 
     def dfs(depth: int, cur_max_total: int, cur_min_total: int, cur_max_entry: int):
-        nonlocal visited
+        nonlocal visited, count, min_F, max_G, min_E, witness
         if depth == len(pairs):
             # every row is spent: row i closes at its pair (i, n-1), and the
             # capacity cut leaves row n-1 no room at the last pair (n-2, n-1)
-            leaf(grid, cur_max_total, cur_min_total, cur_max_entry)
+            count += 1
+            if min_F is None or cur_max_total < min_F:
+                min_F = cur_max_total
+            if max_G is None or cur_min_total > max_G:
+                max_G = cur_min_total
+            if min_E is None or cur_max_entry < min_E:
+                min_E = cur_max_entry
+            if witness is None:
+                witness = PointMatrix.from_rows(grid)
             return
         i, j = pairs[depth]
         # last pair of row i is (i, n-1); beyond it rem[i] must be spent
@@ -176,55 +187,15 @@ def _walk(
                         f"visited more than {budget} pair states"
                     )
                 mji = total - mij
-                max_entry = max(cur_max_entry, mij, mji)
-                if cut is not None and cut(max_total, min_total, max_entry):
-                    continue
                 grid[i][j] = mij
                 grid[j][i] = mji
                 rem[i] -= mij
                 rem[j] -= mji
-                dfs(depth + 1, max_total, min_total, max_entry)
+                dfs(depth + 1, max_total, min_total, max(cur_max_entry, mij, mji))
                 rem[i] += mij
                 rem[j] += mji
 
     dfs(0, -1, pair_cap + 1, 0)
-
-
-def enumerate_extremes(
-    D: ScoreSequence,
-    pair_cap: int,
-    a_floor: int = 0,
-    budget: int = DEFAULT_BUDGET,
-) -> OracleResult:
-    """Exhaust all realizations of D with pair totals in [a_floor, pair_cap].
-
-    Counts them, takes their exact extremes and keeps the first one as witness.
-    A pair_cap below ceil(d_n/(n-1)) leaves no room for the top row, so the
-    searched space is empty and the result is (correctly) not realizable;
-    for exact f/g/e extraction call with pair_cap = 2 * d_n, which contains
-    every realization.
-
-    Raises OracleBudgetExceeded when the instance is too large (more than
-    six players, or the state estimate / actual visited states exceed the
-    budget).
-    """
-    count = 0
-    min_F = max_G = min_E = None
-    witness = None
-
-    def leaf(grid: list[list[int]], F: int, G: int, E: int) -> None:
-        nonlocal count, min_F, max_G, min_E, witness
-        count += 1
-        if min_F is None or F < min_F:
-            min_F = F
-        if max_G is None or G > max_G:
-            max_G = G
-        if min_E is None or E < min_E:
-            min_E = E
-        if witness is None:
-            witness = PointMatrix.from_rows(grid)
-
-    _walk(D, pair_cap, a_floor, budget, leaf)
     # complete matrices always have n >= 2, so at least one pair updated the
     # running extremes whenever count > 0
     return OracleResult(
@@ -238,36 +209,57 @@ def enumerate_extremes(
 
 
 def _frontier(
-    D: ScoreSequence, pair_cap: int, budget: int
+    D: ScoreSequence, pair_cap: int, memo: dict, budget: int
 ) -> list[tuple[int, int, int]]:
     """Pareto set of (F, G, E) over every realization of D with pair totals
     at most pair_cap: F and E as small, G as large as possible.
 
-    A branch is cut once a point found already dominates its running values
-    (F' <= F, G' >= G, E' <= E); the module docstring shows why that is sound.
+    ``memo`` maps (pair_cap, pair index, remaining scores) to the frontier of
+    that state's completions and may be shared by many sequences; once it
+    holds more than ``budget`` states, OracleBudgetExceeded is raised.
     """
-    points: list[tuple[int, int, int]] = []
+    n = D.n
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
-    def dominated(F: int, G: int, E: int) -> bool:
-        for f, g, e in points:
-            if f <= F and g >= G and e <= E:
-                return True
-        return False
+    def solve(k: int, rem: tuple[int, ...]) -> list[tuple[int, int, int]]:
+        if k == len(pairs):
+            # nothing may be left at the end; this point is the identity
+            # of the map below
+            return [] if any(rem) else [(-1, pair_cap + 1, 0)]
+        key = (pair_cap, k, rem)
+        points = memo.get(key)
+        if points is not None:
+            return points
+        i, j = pairs[k]
+        ri, rj = rem[i], rem[j]
+        found: set[tuple[int, int, int]] = set()
+        for total in range(min(pair_cap, ri + rj) + 1):
+            # row i closes at its pair (i, n-1), so it must be spent there
+            lo = ri if j == n - 1 else max(0, total - rj)
+            for mij in range(lo, min(total, ri) + 1):
+                mji = total - mij
+                child = list(rem)
+                child[i] -= mij
+                child[j] -= mji
+                entry = max(mij, mji)
+                for F, G, E in solve(k + 1, tuple(child)):
+                    found.add((max(F, total), min(G, total), max(E, entry)))
+        # keep the points no other dominates; sorted by (F, -G, E), every
+        # point comes after its dominators, and F is already no larger
+        points = memo[key] = []
+        for F, G, E in sorted(found, key=lambda p: (p[0], -p[1], p[2])):
+            if not any(g >= G and e <= E for _, g, e in points):
+                points.append((F, G, E))
+        if len(memo) > budget:
+            raise OracleBudgetExceeded(f"visited more than {budget} pair states")
+        return points
 
-    def leaf(grid: list[list[int]], F: int, G: int, E: int) -> None:
-        # the cut let (F, G, E) through, so no point dominates it
-        points[:] = [
-            (f, g, e) for f, g, e in points if not (F <= f and G >= g and E <= e)
-        ]
-        points.append((F, G, E))
-
-    _walk(D, pair_cap, 0, budget, leaf, dominated)
-    return points
+    return solve(0, D.scores)
 
 
 def _reach(points: list[tuple[int, int, int]], cap: int) -> list[int]:
     """reach[b] for 0 <= b <= cap: the largest G of a point with F <= b, or -1
-    when there is none, over a frontier walked at pair cap ``cap``.
+    when there is none, over a frontier computed at pair cap ``cap``.
 
     Window [a, b] needs a point with F <= b and G >= a, so, as a >= 0, it is
     realizable exactly when a <= reach[b].
@@ -323,7 +315,7 @@ def sweep(
     """Compare the analysis formulas against exhaustion on every small sequence.
 
     For each nondecreasing sequence with 2 <= n <= n_max and entries up to
-    d_max, one frontier walk at pair_cap = 2h + 1 (h = ceil(d_n / (n - 1)),
+    d_max, one frontier at pair_cap = 2h + 1 (h = ceil(d_n / (n - 1)),
     exact as the module docstring shows) feeds these checks:
 
     * exhaustive min F / max G / min E against min_f, max_g, bound_e;
@@ -334,10 +326,10 @@ def sweep(
       by b then a and grown on demand;
     * interval_test on the diagonal windows against landau_test/moon_test.
 
-    The state estimate is checked at the largest window's cap 2h + 1, and
-    the visited budget counts the pair states of the cut walk.
+    The budget counts the frontier states created over the whole call;
+    there is no per-sequence state estimate.
     ``moon_c_max = 0`` skips the c-point checks; a negative value is an error.
-    An n_max beyond six players raises OracleBudgetExceeded before any walk.
+    An n_max beyond six players raises OracleBudgetExceeded before any search.
     Returns a report whose ``mismatches`` must be empty.
     """
     if n_max < 2 or d_max < 0:
@@ -352,6 +344,7 @@ def sweep(
     # (a, b, IntervalParams(a, b)) ordered by b, then a; rows up to b = top
     windows: list[tuple[int, int, IntervalParams]] = []
     top = -1
+    memo: dict = {}  # frontier states, shared by all sequences
     for n in range(2, n_max + 1):
         cnt = 0
         for seq in itertools.combinations_with_replacement(range(d_max + 1), n):
@@ -361,7 +354,7 @@ def sweep(
             h = summary.e
             cap = 2 * h + 1
 
-            points = _frontier(D, cap, budget)
+            points = _frontier(D, cap, memo, budget)
             comparisons += 4
             min_F = min((F for F, _, _ in points), default=None)
             if min_F is None or min_F > 2 * h:

@@ -110,7 +110,9 @@ def test_criterion_3_golden_tables():
 
 def test_criterion_4_oracle_sweeps():
     t0 = time.perf_counter()
-    reports = [sweep(4, 4), sweep(5, 3), sweep(6, 2), sweep(5, 4)]
+    reports = [
+        sweep(4, 4), sweep(5, 3), sweep(6, 2), sweep(5, 4), sweep(5, 5), sweep(6, 4)
+    ]
     elapsed = time.perf_counter() - t0
     ok = all(rep.clean for rep in reports) and elapsed < 300
     detail = (
@@ -120,7 +122,8 @@ def test_criterion_4_oracle_sweeps():
     )
     _report(
         "criterion 4: exhaustive sweeps (n<=4, d<=4), (n<=5, d<=3), "
-        "(n<=6, d<=2) and (n<=5, d<=4) agree with the formulas",
+        "(n<=6, d<=2), (n<=5, d<=4), (n<=5, d<=5) and (n<=6, d<=4) agree "
+        "with the formulas",
         ok,
         detail,
     )

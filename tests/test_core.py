@@ -94,9 +94,8 @@ class TestScoreSequence:
 
     def test_sequence_protocol(self):
         D = ScoreSequence((1, 2, 3))
-        assert len(D) == D.n == 3
-        assert list(D) == [1, 2, 3]
-        assert D[-1] == 3
+        assert D.n == 3
+        assert D.scores == (1, 2, 3)
 
 
 class TestPointMatrix:

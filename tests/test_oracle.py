@@ -187,6 +187,12 @@ class TestSweep:
                 expected[seq] = windows + [(1, 1), (1, 1), (2, 2), (3, 3)]
         assert seen == expected
 
+    def test_budget_counts_frontier_states(self):
+        # sweep(3, 2) creates 40 frontier states over all its 16 sequences
+        with pytest.raises(OracleBudgetExceeded, match="visited more than 39 pair"):
+            sweep(3, 2, budget=39)
+        assert sweep(3, 2, budget=40).clean
+
     def test_seven_players_rejected_before_any_walk(self, monkeypatch):
         def refused(*args, **kwargs):
             raise AssertionError("sweep walked a sequence")
@@ -209,12 +215,14 @@ class TestFrontier:
     def test_matches_per_window_search(self):
         # slow cross-check, independent of interval_test: every window read
         # off the frontier against its own exhaustive search, whose witness
-        # must verify, and the frontier extremes against a full search
+        # must verify and whose min E the frontier points inside the window
+        # must reach, and the frontier extremes against a full search
+        memo = {}
         for n in range(2, 5):
             for seq in itertools.combinations_with_replacement(range(4), n):
                 D = ScoreSequence(seq)
                 cap = 2 * bound_e(D) + 1
-                points = oracle._frontier(D, cap, oracle.DEFAULT_BUDGET)
+                points = oracle._frontier(D, cap, memo, oracle.DEFAULT_BUDGET)
                 full = enumerate_extremes(D, cap)
                 assert min(F for F, _, _ in points) == full.min_F, seq
                 assert max(G for _, G, _ in points) == full.max_G, seq
@@ -225,6 +233,8 @@ class TestFrontier:
                         window = enumerate_extremes(D, pair_cap=b, a_floor=a)
                         found = a <= reach[b]
                         assert found == window.realizable, (seq, a, b)
+                        inside = [E for F, G, E in points if F <= b and G >= a]
+                        assert min(inside, default=None) == window.min_E, (seq, a, b)
                         if found:
                             report = verify_realization(
                                 window.witness, D, IntervalParams(a, b)
@@ -232,7 +242,9 @@ class TestFrontier:
                             assert report.valid, (seq, a, b)
 
     def test_points_are_mutually_undominated(self):
-        points = oracle._frontier(ScoreSequence((2, 3, 3, 4)), 5, oracle.DEFAULT_BUDGET)
+        points = oracle._frontier(
+            ScoreSequence((2, 3, 3, 4)), 5, {}, oracle.DEFAULT_BUDGET
+        )
         for p in points:
             for q in points:
                 if p != q:
