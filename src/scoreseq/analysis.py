@@ -20,7 +20,8 @@ score.  All arithmetic is exact; no floating point is used anywhere.
 from __future__ import annotations
 
 from collections.abc import Callable
-from itertools import accumulate
+from itertools import accumulate, islice
+from operator import floordiv
 
 from .core import ExtremalSummary, IntervalParams, ScoreSequence, ceil_div
 
@@ -28,24 +29,28 @@ from .core import ExtremalSummary, IntervalParams, ScoreSequence, ceil_div
 def interval_test(D: ScoreSequence, params: IntervalParams) -> bool:
     """Decide whether D is realizable with every pair total in [a, b].
 
-    Runs in one pass over the scores, O(n) time and O(1) extra space.
+    One O(n) pass: z = S_k - a*B_k, x = b*B_k - S_k and y = b*B_n - S_k move
+    by addition as B_k grows by k - 1, L is the running max of x, and the only
+    product is (n - k) * d_k.  The a-side runs only when a > 0.
     """
     a, b = params.a, params.b
     scores = D.scores
-    n = len(scores)
-    b_total = b * (n * (n - 1) // 2)
-    B = 0
-    S = 0
-    L = 0
-    for k, d in enumerate(scores, start=1):
-        B += k - 1
-        S += d
-        if a * B > S:
-            return False
-        bonus = b * B - S
-        if bonus > L:
-            L = bonus
-        if S > b_total - L - (n - k) * d:
+    m = n = len(scores)
+    y = b * (n * (n - 1) // 2)
+    x = z = L = a_step = b_step = 0
+    for d in scores:
+        m -= 1
+        if a:
+            z += d - a_step
+            if z < 0:
+                return False
+            a_step += a
+        x += b_step - d
+        b_step += b
+        if x > L:
+            L = x
+        y -= d
+        if m * d > y - L:
             return False
     return True
 
@@ -128,8 +133,8 @@ def max_g(D: ScoreSequence) -> int:
     form min over 2 <= k <= n of floor(S_k / B_k); it never exceeds f.
     O(n) time.
     """
-    prefix = enumerate(accumulate(D.scores), start=1)
-    return min(S // (k * (k - 1) // 2) for k, S in prefix if k > 1)
+    S = islice(accumulate(D.scores), 1, None)  # S_2 .. S_n
+    return min(map(floordiv, S, accumulate(range(1, D.n))))  # over B_2 .. B_n
 
 
 def max_g_by_search(D: ScoreSequence, f: int) -> int:
@@ -143,10 +148,5 @@ def max_g_by_search(D: ScoreSequence, f: int) -> int:
 def extremal_summary(D: ScoreSequence) -> ExtremalSummary:
     """Compute e, f, g together with the window the f-search used."""
     lo, hi = f_search_interval(D)
-    return ExtremalSummary(
-        e=bound_e(D),
-        f=min_f(D),
-        g=max_g(D),
-        f_search_lo=lo,
-        f_search_hi=hi,
-    )
+    # hi is twice bound_e(D), so e comes from the window already in hand
+    return ExtremalSummary(hi // 2, min_f(D), max_g(D), f_search_lo=lo, f_search_hi=hi)

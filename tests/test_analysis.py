@@ -2,7 +2,7 @@ import hashlib
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scoreseq import (
@@ -16,6 +16,7 @@ from scoreseq import (
 )
 from scoreseq import analysis
 from scoreseq.analysis import f_search_interval, max_g_by_search, min_f_closed_form
+from scoreseq.core import MAX_MAGNITUDE
 
 from golden import SCORES_SIX
 
@@ -39,6 +40,28 @@ def _interval_test_written_out(D, a, b):
         a * B[k] <= S[k] <= b * B[n] - L[k] - (n - k) * D.scores[k - 1]
         for k in range(1, n + 1)
     )
+
+
+def _paper_interval_test(D, params):
+    """The loop with B_k, S_k and the loss table as the paper states them."""
+    a, b = params.a, params.b
+    scores = D.scores
+    n = len(scores)
+    b_total = b * (n * (n - 1) // 2)
+    B = 0
+    S = 0
+    L = 0
+    for k, d in enumerate(scores, start=1):
+        B += k - 1
+        S += d
+        if a * B > S:
+            return False
+        bonus = b * B - S
+        if bonus > L:
+            L = bonus
+        if S > b_total - L - (n - k) * d:
+            return False
+    return True
 
 
 class TestLossTable:
@@ -101,6 +124,31 @@ class TestIntervalTest:
     @given(sequences())
     def test_evenly_spread_window_is_always_feasible(self, D):
         assert interval_test(D, IntervalParams(0, 2 * bound_e(D)))
+
+
+class TestAgainstPaperLoop:
+    """interval_test's incremental sums against the paper's loop."""
+
+    def test_every_small_window(self):
+        windows = [IntervalParams(a, b) for b in range(16) for a in range(b + 1)]
+        for n in range(2, 6):
+            for seq in itertools.combinations_with_replacement(range(8), n):
+                D = ScoreSequence(seq)
+                for params in windows:
+                    expected = _paper_interval_test(D, params)
+                    assert interval_test(D, params) == expected, (seq, params)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sequences(max_n=300, max_d=MAX_MAGNITUDE), st.data())
+    def test_large_scores_with_a_floor(self, D, data):
+        # a >= 1 runs the a-side; b near f makes the pass run deep before
+        # it decides, and b up to MAX_MAGNITUDE**2 takes b * B_n past 2**64
+        f, g = min_f(D), max_g(D)
+        a = data.draw(st.integers(1, g + 1), label="a")
+        near = st.integers(max(a, f - 1), max(a, f + 1))
+        b = data.draw(st.one_of(near, st.integers(a, MAX_MAGNITUDE**2)), label="b")
+        params = IntervalParams(a, b)
+        assert interval_test(D, params) == _paper_interval_test(D, params)
 
 
 class TestBoundE:
