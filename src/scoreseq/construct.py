@@ -174,7 +174,9 @@ def score_slicing(
         x = top
         while x >= 1 and grid[x][k] >= cap:
             x -= 1
-            room = min(room, below - a * x * (x - 1) // 2)
+            slack = below - a * x * (x - 1) // 2
+            if slack < room:
+                room = slack
             below -= p[x]
         if x == 0:
             break
@@ -192,8 +194,12 @@ def score_slicing(
                 below -= level
             width = x - low + 1
             gap = level - p[low - 1]
-            avail = min(missing, room)
-            per_member = min(b, gap, -(-avail // width))
+            avail = missing if missing < room else room
+            per_member = -(-avail // width)
+            if gap < per_member:
+                per_member = gap
+            if b < per_member:
+                per_member = b
             if per_member <= 0 or not ordered:
                 break
             floor = level - per_member
@@ -220,7 +226,8 @@ def score_slicing(
             if j < x:
                 # settle the capped members; their slack joins the room
                 slack = below + (j - low + 1) * level - a * j * (j - 1) // 2
-                room = min(room, slack)
+                if slack < room:
+                    room = slack
                 for i in range(j + 1, x + 1):
                     row = grid[i]
                     owed = cap - row[k]
@@ -228,7 +235,8 @@ def score_slicing(
                     row[k] = cap
                     row_k[i] -= owed
                     slack += p[i] - a * (i - 1)
-                    room = min(room, slack)
+                    if slack < room:
+                        room = slack
         else:
             top = low
             continue
@@ -243,15 +251,15 @@ def score_slicing(
             slack += level - a * (i - 1)
             row = grid[i]
             owed = p[i] - level
-            got = row[k] + owed
-            y = min(
-                (a if deficit > 0 else b) - got,
-                per_member,
-                min(avail, slack) - handed,
-            )
+            y = (a if deficit > 0 else b) - row[k] - owed
+            if per_member < y:
+                y = per_member
+            limit = (avail if avail < slack else slack) - handed
+            if limit < y:
+                y = limit
             if y > 0:
                 if deficit > 0:
-                    deficit = max(0, deficit - y)
+                    deficit = deficit - y if deficit > y else 0
                 handed += y
                 owed += y
             p[i] -= owed
@@ -272,10 +280,15 @@ def score_slicing(
 
     # Phase 2: plain forfeits, lowering pair totals from b toward a.  One
     # pass suffices: each pair it leaves open is at 0 or at the floor.
+    drop = b - a
     for i in range(k - 1, 0, -1):
         if missing == 0:
             break
-        y = min(row_k[i], b - a, missing)
+        y = row_k[i]
+        if drop < y:
+            y = drop
+        if missing < y:
+            y = missing
         row_k[i] -= y
         missing -= y
     if missing:

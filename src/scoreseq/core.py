@@ -7,7 +7,9 @@ won against player j, with a zero diagonal; the row sums are the players'
 scores.  A score sequence is the nondecreasing vector of those scores.
 
 Everything here is exact integer arithmetic on immutable values.  All
-operations are pure functions and safe to call concurrently.
+operations are pure functions and safe to call concurrently: the one write,
+``matrix_stats`` caching its result on a ``PointMatrix``, is idempotent, so
+racing calls store equal values.
 """
 
 from __future__ import annotations
@@ -148,7 +150,18 @@ class ScoreSequence(_Value):
         return len(self.scores)
 
 
-class PointMatrix(_Value):
+class _StatsSlot(_Value):
+    """Holds the ``MatrixStats`` of a matrix once ``matrix_stats`` has run.
+
+    The slot is declared here, not in the subclass's ``__slots__``, so the
+    field-wise equality, hash, repr, ``_asdict`` and pickling of ``_Value``
+    never see it; a copy starts without it and computes its own.
+    """
+
+    __slots__ = ("_stats",)
+
+
+class PointMatrix(_StatsSlot):
     """Square nonnegative integer matrix of match results, zero diagonal.
 
     ``entries[i][j]`` is the number of points player i won against player j
@@ -267,7 +280,14 @@ def normalize_sequence(raw: Sequence[int]) -> tuple[ScoreSequence, tuple[int, ..
 
 
 def matrix_stats(M: PointMatrix) -> MatrixStats:
-    """Largest entry, largest/smallest pair total (over i<j), and row sums."""
+    """Largest entry, largest/smallest pair total (over i<j), and row sums.
+
+    Computed once per matrix: the result is kept on M and returned again.
+    """
+    try:
+        return M._stats
+    except AttributeError:
+        pass
     n = M.n
     rows = M.entries
     max_total = min_total = rows[0][1] + rows[1][0]
@@ -278,12 +298,14 @@ def matrix_stats(M: PointMatrix) -> MatrixStats:
                 max_total = t
             elif t < min_total:
                 min_total = t
-    return MatrixStats(
+    stats = MatrixStats(
         max_entry=max(map(max, rows)),
         max_pair_total=max_total,
         min_pair_total=min_total,
         row_sums=M.row_sums(),
     )
+    object.__setattr__(M, "_stats", stats)
+    return stats
 
 
 def verify_realization(
@@ -302,20 +324,23 @@ def verify_realization(
 
     diag_ok = True  # PointMatrix construction already enforces the diagonal
 
-    sums = sorted(M.row_sums())
-    sums_ok = tuple(sums) == D.scores
+    stats = matrix_stats(M)
+    sums = tuple(sorted(stats.row_sums))
+    sums_ok = sums == D.scores
     if not sums_ok:
-        failures.append(f"sorted row sums {tuple(sums)} != scores {D.scores}")
+        failures.append(f"sorted row sums {sums} != scores {D.scores}")
 
-    window_ok = True
-    entries = M.entries
+    # every pair total lies in [a, b] exactly when both extremes do; only a
+    # matrix that fails needs the pairs listed
     a, b = params.a, params.b
-    for i, row in enumerate(entries):
-        for j in range(i + 1, len(row)):
-            t = row[j] + entries[j][i]
-            if not a <= t <= b:
-                window_ok = False
-                failures.append(f"pair ({i},{j}) total {t} outside [{a},{b}]")
+    window_ok = a <= stats.min_pair_total and stats.max_pair_total <= b
+    if not window_ok:
+        entries = M.entries
+        for i, row in enumerate(entries):
+            for j in range(i + 1, len(row)):
+                t = row[j] + entries[j][i]
+                if not a <= t <= b:
+                    failures.append(f"pair ({i},{j}) total {t} outside [{a},{b}]")
     return RealizationReport(
         zero_diagonal=diag_ok,
         row_sums_match=sums_ok,

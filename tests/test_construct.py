@@ -291,6 +291,197 @@ class TestSlicingMatchesRounds:
         assert grid == grid_ref
 
 
+def _minmax_score_slicing(
+    k: int, p: list[int], grid: list[list[int]], params: IntervalParams
+) -> None:
+    """``score_slicing`` as it stood with builtin min/max calls, kept verbatim.
+
+    The step now makes those choices with plain comparisons; tests hold it
+    equal to this copy on ``p`` and ``grid`` after every step of a build.
+    """
+    a, b = params.a, params.b
+    if k < 3:
+        raise ValueError(f"slicing needs at least 3 unsettled players, got {k}")
+
+    missing = (k - 1) * b - p[k]
+    if missing < 0:
+        raise InfeasiblePrefix(f"score p[{k}]={p[k]} exceeds ({k - 1})*b={b * (k - 1)}")
+    # slack_j = P_j - a*B_j, where P_j sums p[1..j] and B_j = j(j-1)/2 counts
+    # the pairs among players 1..j: what hand-outs to players 1..j may take
+    # before those pairs can no longer each get a points.
+    pairs = a * (k - 1) * (k - 2) // 2
+    spare = sum(p[1:k]) - pairs
+
+    # Every pair total must end up at least a, so forfeits alone can shed at
+    # most (k-1)*(b-a) points and this many must leave via hand-outs that
+    # take a player's winnings against k from below a toward a.  Hand-outs
+    # beyond a per player are allowed only once this quota is met, otherwise
+    # they starve the forfeit phase.
+    deficit = max(0, (k - 1) * a - p[k])
+
+    # Phase 1: hand surplus to players that still hold slack, top block first,
+    # keeping the receiving pair totals pinned at b.  The room at i,
+    # min(slack_i, ..., slack_{k-1}), caps what players 1..i may still take.
+    # Players above top are locked, room is the room at top, and below is
+    # P_{top-1}.
+    top, room = k - 1, spare
+    below = spare + pairs - p[k - 1]
+    row_k = grid[k]
+    # Until a re-sort, v = p + grid[.][k], each player's score when the step
+    # began, is nondecreasing, so the cap left shrinks up every tie block.
+    ordered = True
+    while missing > 0 and spare > 0:
+        cap = a if deficit > 0 else b
+        x = top
+        while x >= 1 and grid[x][k] >= cap:
+            x -= 1
+            room = min(room, below - a * x * (x - 1) // 2)
+            below -= p[x]
+        if x == 0:
+            break
+        # The fill: members low..x stand at `level` while p and grid still
+        # hold what they had when they joined; p[i] - level is owed to each.
+        # A round whose hand-out fits the budget is taken whole: members get
+        # per_member, or their cap if that is less, and those that reach it
+        # settle at v - cap above the rest, so the block stays sorted.
+        level = p[x]
+        low = j = x
+        while j >= low:
+            x = j
+            while p[low - 1] == level and low > 1:
+                low -= 1
+                below -= level
+            width = x - low + 1
+            gap = level - p[low - 1]
+            avail = min(missing, room)
+            per_member = min(b, gap, -(-avail // width))
+            if per_member <= 0 or not ordered:
+                break
+            floor = level - per_member
+            handed = width * per_member
+            # members above j reach their cap: v - cap >= floor
+            full = floor + cap
+            while j >= low and (v := p[j] + grid[j][k]) >= full:
+                handed -= v - full
+                j -= 1
+            # slack over a tie block is concave, so the room at any member
+            # is at least min(slack_low, room)
+            if (
+                handed > avail
+                or handed > below + level - a * low * (low - 1) // 2
+                or 0 < deficit <= handed
+            ):
+                break
+            missing -= handed
+            spare -= handed
+            room -= handed
+            if deficit:
+                deficit -= handed
+            level = floor
+            if j < x:
+                # settle the capped members; their slack joins the room
+                slack = below + (j - low + 1) * level - a * j * (j - 1) // 2
+                room = min(room, slack)
+                for i in range(j + 1, x + 1):
+                    row = grid[i]
+                    owed = cap - row[k]
+                    p[i] -= owed
+                    row[k] = cap
+                    row_k[i] -= owed
+                    slack += p[i] - a * (i - 1)
+                    room = min(room, slack)
+        else:
+            top = low
+            continue
+        # The round that meets the quota, spends the budget, has nothing to
+        # hand or follows a re-sort goes member by member.  Each member takes
+        # what it is owed and its share, capped by the room at it, which is
+        # min(slack_i, room) by the same concavity.
+        short = deficit > 0
+        handed = 0
+        slack = below - a * (low - 1) * (low - 2) // 2
+        for i in range(low, x + 1):
+            slack += level - a * (i - 1)
+            row = grid[i]
+            owed = p[i] - level
+            got = row[k] + owed
+            y = min(
+                (a if deficit > 0 else b) - got,
+                per_member,
+                min(avail, slack) - handed,
+            )
+            if y > 0:
+                if deficit > 0:
+                    deficit = max(0, deficit - y)
+                handed += y
+                owed += y
+            p[i] -= owed
+            row[k] += owed
+            row_k[i] -= owed
+        missing -= handed
+        if handed == 0:
+            break
+        if _restore_order(p, grid, k, low, x):
+            ordered = False
+        spare -= handed
+        if short and deficit == 0:  # quota met: players above x unlock
+            top, room = k - 1, spare
+            below = spare + pairs - p[k - 1]
+        else:
+            top, room = x, room - handed
+            below += sum(p[low:x])
+
+    # Phase 2: plain forfeits, lowering pair totals from b toward a.  One
+    # pass suffices: each pair it leaves open is at 0 or at the floor.
+    for i in range(k - 1, 0, -1):
+        if missing == 0:
+            break
+        y = min(row_k[i], b - a, missing)
+        row_k[i] -= y
+        missing -= y
+    if missing:
+        raise InfeasiblePrefix(
+            f"player {k} still holds {missing} surplus points with every "
+            f"pair total already at the floor {a}"
+        )
+
+
+class TestAgainstMinMaxStep:
+    """score_slicing against its min/max form, step by step through mini_max."""
+
+    @staticmethod
+    def _build_both(scores, need_floor=False):
+        D = ScoreSequence(tuple(sorted(scores)))
+        summary = extremal_summary(D)
+        if need_floor:
+            assume(summary.g > 0)
+        params = IntervalParams(summary.g, summary.f)
+        n, p, grid = _primed_state(D.scores, summary.f)
+        p_ref, grid_ref = p[:], [row[:] for row in grid]
+        for k in range(n, 2, -1):
+            _minmax_score_slicing(k, p_ref, grid_ref, params)
+            score_slicing(k, p, grid, params)
+            assert p == p_ref, k
+            assert grid == grid_ref, k
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(3, 120), st.randoms(use_true_random=False))
+    def test_uniform_scores(self, n, rng):
+        self._build_both([rng.randint(0, 3 * n) for _ in range(n)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(3, 120), st.randoms(use_true_random=False))
+    def test_top_heavy_scores_with_a_floor(self, n, rng):
+        # t players near (n-1)*h push f far above the rest; with g > 0 the
+        # steps below them run the hand-out quota and then forfeit
+        h = rng.randint(1, 3 * n)
+        t = rng.randint(1, max(1, n // 2))
+        top = [rng.randint((n - 2) * h, (n - 1) * h) for _ in range(t)]
+        rest = [rng.randint(h // 2, h) for _ in range(n - t)]
+        self._build_both(top + rest, need_floor=True)
+
+
+
 def _full_relabel(p, grid, k):
     """Reference relabel: a stable sort of all of players 1..k-1 by score."""
     n = len(grid) - 1

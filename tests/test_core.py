@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scoreseq import (
@@ -291,6 +291,58 @@ class TestVerifyRealization:
             IntervalParams(2, 10),
         )
         assert report.valid
+
+    @pytest.mark.parametrize("stats_first", [True, False])
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(2, 8).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(0, 9), min_size=n, max_size=n),
+                min_size=n,
+                max_size=n,
+            )
+        ),
+        st.data(),
+    )
+    def test_agrees_with_pair_listing(self, stats_first, rows, data):
+        n = len(rows)
+        for i in range(n):
+            rows[i][i] = 0
+        totals = [(i, j, rows[i][j] + rows[j][i]) for i in range(n) for j in range(i + 1, n)]
+        lo, hi = min(t for *_, t in totals), max(t for *_, t in totals)
+        sums = sorted(map(sum, rows))
+        scores = sums[:-1] + [sums[-1] + data.draw(st.integers(0, 1), label="bump")]
+        # windows inside, across and outside the range of pair totals
+        a = data.draw(st.integers(max(0, lo - 2), hi + 2), label="a")
+        b = data.draw(st.integers(a, hi + 2), label="b")
+
+        M = PointMatrix.from_rows(rows)
+        D, params = ScoreSequence(scores), IntervalParams(a, b)
+        if stats_first:
+            stats = matrix_stats(M)
+            report = verify_realization(M, D, params)
+        else:
+            report = verify_realization(M, D, params)
+            stats = matrix_stats(M)
+        assert matrix_stats(M) == stats
+        assert matrix_stats(M) == stats
+
+        assert stats.max_entry == max(map(max, rows))
+        assert stats.max_pair_total == hi
+        assert stats.min_pair_total == lo
+        assert stats.row_sums == tuple(map(sum, rows))
+        failures = [
+            f"pair ({i},{j}) total {t} outside [{a},{b}]"
+            for i, j, t in totals
+            if not a <= t <= b
+        ]
+        assert report.zero_diagonal
+        assert report.pair_totals_in_window == (not failures)
+        assert report.row_sums_match == (scores == sums)
+        if scores != sums:
+            failures.insert(0, f"sorted row sums {tuple(sums)} != scores {tuple(scores)}")
+        assert report.failures == tuple(failures)
+        assert report.valid == (not failures)
 
 
 def test_ceil_div():

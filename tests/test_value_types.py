@@ -18,6 +18,7 @@ from scoreseq import (
     RealizationReport,
     ScoreSequence,
     SweepReport,
+    matrix_stats,
 )
 
 WITNESS = PointMatrix(((0, 2), (1, 0)))
@@ -123,6 +124,50 @@ class TestValueType:
         assert back == value
         assert repr(back) == text
         assert copy.copy(value) == value
+
+
+class TestPointMatrixWithCachedStats:
+    """matrix_stats keeps its result on the matrix, outside the fields."""
+
+    VALUES, TEXT = CASES[1][1], CASES[1][2]
+
+    def cached(self):
+        M = PointMatrix(*self.VALUES)
+        matrix_stats(M)
+        return M
+
+    def test_equality_hash_and_repr(self):
+        M, fresh = self.cached(), PointMatrix(*self.VALUES)
+        assert M == fresh and fresh == M
+        assert hash(M) == hash(fresh) == hash(self.VALUES)
+        assert repr(M) == self.TEXT
+        assert M._asdict() == {"entries": self.VALUES[0]}
+
+    PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [copy.copy, copy.deepcopy]
+        + [lambda M, p=p: pickle.loads(pickle.dumps(M, p)) for p in PROTOCOLS],
+        ids=["copy", "deepcopy"] + [f"pickle{p}" for p in PROTOCOLS],
+    )
+    def test_copy_computes_its_own_stats(self, round_trip):
+        M = self.cached()
+        back = round_trip(M)
+        assert type(back) is PointMatrix
+        assert back == M and repr(back) == self.TEXT
+        stats = matrix_stats(back)
+        assert stats == matrix_stats(M) and stats is not matrix_stats(M)
+
+    def test_assignment_and_deletion_raise(self):
+        M = self.cached()
+        for name in ("entries", "_stats", "not_a_field"):
+            with pytest.raises(AttributeError):
+                setattr(M, name, None)
+        for name in ("entries", "_stats"):
+            with pytest.raises(AttributeError):
+                delattr(M, name)
+        assert M == PointMatrix(*self.VALUES)
 
 
 def test_defaults_of_the_trailing_fields():
