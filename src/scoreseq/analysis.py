@@ -96,7 +96,11 @@ def min_f(D: ScoreSequence) -> int:
     because raising b only relaxes the right-hand inequalities.
     O(n log(d_n / n)) time.
     """
-    lo, hi = f_search_interval(D)
+    return _min_f(D, *f_search_interval(D))
+
+
+def _min_f(D: ScoreSequence, lo: int, hi: int) -> int:
+    """``min_f`` over the window [lo, hi] that ``f_search_interval`` gave for D."""
     feasible = lambda b: interval_test(D, IntervalParams(0, b))
     return lo if feasible(lo) else _bisect(lo, hi, feasible)
 
@@ -149,4 +153,6 @@ def extremal_summary(D: ScoreSequence) -> ExtremalSummary:
     """Compute e, f, g together with the window the f-search used."""
     lo, hi = f_search_interval(D)
     # hi is twice bound_e(D), so e comes from the window already in hand
-    return ExtremalSummary(hi // 2, min_f(D), max_g(D), f_search_lo=lo, f_search_hi=hi)
+    return ExtremalSummary(
+        hi // 2, _min_f(D, lo, hi), max_g(D), f_search_lo=lo, f_search_hi=hi
+    )

@@ -64,7 +64,7 @@ def _cycle_matrix(scores: Sequence[int]) -> PointMatrix:
     grid[n - 1][0] = scores[n - 1]
     for i in range(n - 1):
         grid[i][i + 1] = scores[i]
-    return PointMatrix.from_rows(grid)
+    return PointMatrix._from_int_rows(grid)
 
 
 def pigeonhole_construct(D: ScoreSequence) -> PointMatrix:
@@ -83,7 +83,7 @@ def pigeonhole_construct(D: ScoreSequence) -> PointMatrix:
         for j in range(1, n):
             opponent = (i + j) % n
             grid[i][opponent] = high if j <= larger else low
-    return PointMatrix.from_rows(grid)
+    return PointMatrix._from_int_rows(grid)
 
 
 def _restore_order(
@@ -327,4 +327,4 @@ def mini_max(D: ScoreSequence) -> tuple[ExtremalSummary, PointMatrix]:
         # row i sums to the i-th score
         order = sorted(range(n), key=lambda i: sums[i])
         rows = [[rows[oi][oj] for oj in order] for oi in order]
-    return summary, PointMatrix.from_rows(rows)
+    return summary, PointMatrix._from_int_rows(rows)

@@ -171,7 +171,10 @@ class PointMatrix(_StatsSlot):
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable[Iterable[int]]) -> None:
-        rows = tuple(_as_ints(row, "matrix entry") for row in entries)
+        self._check_and_fill(tuple(_as_ints(row, "matrix entry") for row in entries))
+
+    def _check_and_fill(self, rows: tuple[tuple[int, ...], ...]) -> None:
+        """Check the shape, zero diagonal and signs of rows of plain ints, then store them."""
         n = len(rows)
         if n < 2:
             raise InputTooShort(f"need at least 2 players, got {n}")
@@ -195,6 +198,13 @@ class PointMatrix(_StatsSlot):
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "PointMatrix":
         return cls(tuple(tuple(row) for row in rows))
+
+    @classmethod
+    def _from_int_rows(cls, rows: Iterable[Iterable[int]]) -> "PointMatrix":
+        """``from_rows`` for rows the library built from plain ints: no type scan."""
+        M = cls.__new__(cls)
+        M._check_and_fill(tuple(map(tuple, rows)))
+        return M
 
 
 class IntervalParams(_Value):
@@ -276,7 +286,12 @@ def normalize_sequence(raw: Sequence[int]) -> tuple[ScoreSequence, tuple[int, ..
     """
     raw = _as_ints(raw, "score")
     order = tuple(sorted(range(len(raw)), key=raw.__getitem__))
-    return ScoreSequence(tuple(map(raw.__getitem__, order))), order
+    scores = tuple(map(raw.__getitem__, order))
+    _validate_scores(scores)
+    # plain ints, checked and sorted: fill the value without ScoreSequence's re-scan
+    D = ScoreSequence.__new__(ScoreSequence)
+    D._fill(scores)
+    return D, order
 
 
 def matrix_stats(M: PointMatrix) -> MatrixStats:

@@ -252,6 +252,22 @@ def test_search_probes_are_pinned(monkeypatch):
     )
 
 
+def test_summary_computes_the_f_window_once(monkeypatch):
+    calls = []
+    window = analysis.f_search_interval
+
+    def counting(D):
+        calls.append(D)
+        return window(D)
+
+    monkeypatch.setattr(analysis, "f_search_interval", counting)
+    for D in (SIX, ZEROS_FORTIES, ScoreSequence((3, 8)), ScoreSequence((0, 0))):
+        calls.clear()
+        s = extremal_summary(D)
+        assert calls == [D]
+        assert (s.f_search_lo, s.f_search_hi) == window(D)
+
+
 class TestExtremalSummary:
     def test_six_players(self):
         s = extremal_summary(SIX)

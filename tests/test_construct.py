@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scoreseq import (
     InfeasiblePrefix,
     IntervalParams,
+    PointMatrix,
     ScoreSequence,
     bound_e,
     extremal_summary,
@@ -640,6 +641,19 @@ class TestMiniMax:
         stats = matrix_stats(M)
         assert stats.max_pair_total == summary.f
         assert stats.min_pair_total == summary.g
+
+    @given(sequences)
+    @settings(max_examples=60, deadline=None)
+    def test_matrix_is_what_from_rows_builds(self, D):
+        # mini_max hands its rows over without the type scan; the value must
+        # equal the fully checked one
+        _, M = mini_max(D)
+        ref = PointMatrix.from_rows([list(row) for row in M.entries])
+        assert M == ref and hash(M) == hash(ref) and repr(M) == repr(ref)
+        assert type(M.entries) is tuple
+        for row in M.entries:
+            assert type(row) is tuple
+            assert all(type(v) is int for v in row)
 
     @given(sequences)
     @settings(max_examples=60, deadline=None)

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,6 +82,22 @@ class TestNormalizeSequence:
         assert again.scores == D.scores
         assert perm == tuple(range(len(raw)))
 
+    @given(score_lists, st.data())
+    def test_result_is_the_checked_constructors_value(self, raw, data):
+        # normalize_sequence fills the value without ScoreSequence's re-scan;
+        # nothing may tell the two apart, _Index entries included
+        wrap = data.draw(st.lists(st.booleans(), min_size=len(raw), max_size=len(raw)))
+        D, _ = normalize_sequence([_Index(v) if w else v for v, w in zip(raw, wrap)])
+        ref = ScoreSequence(tuple(sorted(raw)))
+        for value in (D, pickle.loads(pickle.dumps(D)), copy.deepcopy(D)):
+            assert type(value) is ScoreSequence
+            assert value == ref and ref == value
+            assert hash(value) == hash(ref)
+            assert repr(value) == repr(ref)
+            assert value._asdict() == ref._asdict()
+            assert type(value.scores) is tuple
+            assert all(type(s) is int for s in value.scores)
+
     @given(score_lists)
     def test_stable_ties(self, raw):
         _, perm = normalize_sequence(raw)
@@ -117,6 +136,20 @@ class TestPointMatrix:
 
     def test_row_sums(self):
         assert PointMatrix.from_rows(TABLE_WIDE).row_sums() == SCORES_SIX
+
+    def test_int_rows_path_keeps_the_structural_checks(self):
+        # the library's own matrices skip only the type scan
+        with pytest.raises(ShapeMismatch):
+            PointMatrix._from_int_rows([[0, 1], [1, 0, 2]])
+        with pytest.raises(ValueError, match="diagonal entry"):
+            PointMatrix._from_int_rows([[0, 1], [1, 3]])
+        with pytest.raises(ValueError, match="is negative"):
+            PointMatrix._from_int_rows([[0, 1], [-2, 0]])
+        with pytest.raises(InputTooShort):
+            PointMatrix._from_int_rows([[0]])
+        M = PointMatrix._from_int_rows([[0, 1], [2, 0]])
+        assert M == PointMatrix.from_rows([[0, 1], [2, 0]])
+        assert M.entries == ((0, 1), (2, 0))
 
 
 class _Index:
