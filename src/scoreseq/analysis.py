@@ -5,9 +5,11 @@ pair totals all lie in [a, b] if and only if, for every k in 1..n,
 
     a * B_k  <=  S_k  <=  b * B_n - L_k - (n - k) * d_k,
 
-where B_k = k(k-1)/2, S_k is the sum of the k smallest scores, and the loss
-table L_k = max(L_{k-1}, b * B_k - S_k) starting from L_0 = 0 accumulates
-the points the top n-k players are forced to concede to the bottom k.
+where B_k = k(k-1)/2, S_k is the sum of the k smallest scores, and the
+paper's loss table L_k is the largest b * B_j - S_j over 0 <= j <= k.
+Since S_k + (n - k) * d_k <= S_n, with equality at k = n, the right-hand
+side says exactly that the top n-j players win at most b per pair they
+play: S_n - S_j <= b * (B_n - B_j) for 0 <= j < n (the top-set form).
 
 The two sides of the test are independent: the left inequalities involve
 only ``a`` and the right ones only ``b``.  That makes the largest feasible
@@ -29,29 +31,26 @@ from .core import ExtremalSummary, IntervalParams, ScoreSequence, ceil_div
 def interval_test(D: ScoreSequence, params: IntervalParams) -> bool:
     """Decide whether D is realizable with every pair total in [a, b].
 
-    One O(n) pass: z = S_k - a*B_k, x = b*B_k - S_k and y = b*B_n - S_k move
-    by addition as B_k grows by k - 1, L is the running max of x, and the only
-    product is (n - k) * d_k.  The a-side runs only when a > 0.
+    When a > 0 a forward pass keeps z = S_k - a*B_k >= 0.  A backward pass
+    keeps the top n-j players' slack b*(B_n - B_j) - (S_n - S_j) >= 0, each
+    new player adding b per player below it, less its own score.
     """
     a, b = params.a, params.b
     scores = D.scores
-    m = n = len(scores)
-    y = b * (n * (n - 1) // 2)
-    x = z = L = a_step = b_step = 0
-    for d in scores:
-        m -= 1
-        if a:
+    if a:
+        z = a_step = 0
+        for d in scores:
             z += d - a_step
             if z < 0:
                 return False
             a_step += a
-        x += b_step - d
-        b_step += b
-        if x > L:
-            L = x
-        y -= d
-        if m * d > y - L:
+    slack = 0
+    step = b * (len(scores) - 1)
+    for d in reversed(scores):
+        slack += step - d
+        if slack < 0:
             return False
+        step -= b
     return True
 
 

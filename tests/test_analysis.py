@@ -30,6 +30,17 @@ def sequences(max_n=10, max_d=50):
     )
 
 
+@st.composite
+def long_sequences(draw, max_n=300, max_d=MAX_MAGNITUDE):
+    # n is drawn first, since plain lists rarely grow past 20 entries, and
+    # the scores share a band: a narrow band binds a deep top set (equal
+    # scores bind the whole field), a wide one a top set of a few players
+    n = draw(st.integers(2, max_n))
+    lo = draw(st.integers(0, max_d))
+    xs = st.integers(lo, draw(st.integers(lo, max_d)))
+    return ScoreSequence(tuple(sorted(draw(st.lists(xs, min_size=n, max_size=n)))))
+
+
 def _interval_test_written_out(D, a, b):
     """The realizability inequalities with every table spelled out in full."""
     n = D.n
@@ -65,7 +76,7 @@ def _paper_interval_test(D, params):
 
 
 class TestLossTable:
-    """The loss table L_k, as interval_test evaluates it inline."""
+    """The paper's loss table L_k, which interval_test's top-set form replaces."""
 
     def test_all_ones(self):
         # L stays 0 at b = 1, so the cyclic triangle fits under that cap
@@ -74,8 +85,9 @@ class TestLossTable:
         assert _interval_test_written_out(D, 0, 1)
 
     def test_zeros_forties(self):
-        # the three zeros force L_3 = 3b onto the forties: with L the cap
-        # b = 10 is tight and b = 9 fails, without it b = 9 would pass
+        # the three 40s hold 120 points and take part in 12 pairs (3 among
+        # themselves, 9 against the zeros), so b = 10 is tight and b = 9
+        # fails; the written-out test finds the same through L_3 = 3b
         assert interval_test(ZEROS_FORTIES, IntervalParams(0, 10))
         assert not interval_test(ZEROS_FORTIES, IntervalParams(0, 9))
         assert _interval_test_written_out(ZEROS_FORTIES, 0, 10)
@@ -127,7 +139,7 @@ class TestIntervalTest:
 
 
 class TestAgainstPaperLoop:
-    """interval_test's incremental sums against the paper's loop."""
+    """interval_test's top-set form against the paper's loop."""
 
     def test_every_small_window(self):
         windows = [IntervalParams(a, b) for b in range(16) for a in range(b + 1)]
@@ -139,15 +151,26 @@ class TestAgainstPaperLoop:
                     assert interval_test(D, params) == expected, (seq, params)
 
     @settings(max_examples=150, deadline=None)
-    @given(sequences(max_n=300, max_d=MAX_MAGNITUDE), st.data())
+    @given(long_sequences(), st.data())
     def test_large_scores_with_a_floor(self, D, data):
-        # a >= 1 runs the a-side; b near f makes the pass run deep before
-        # it decides, and b up to MAX_MAGNITUDE**2 takes b * B_n past 2**64
+        # a >= 1 runs the a-side; b near f puts the b-side on its boundary,
+        # and b up to MAX_MAGNITUDE**2 takes b * B_n past 2**64
         f, g = min_f(D), max_g(D)
         a = data.draw(st.integers(1, g + 1), label="a")
         near = st.integers(max(a, f - 1), max(a, f + 1))
         b = data.draw(st.one_of(near, st.integers(a, MAX_MAGNITUDE**2)), label="b")
         params = IntervalParams(a, b)
+        assert interval_test(D, params) == _paper_interval_test(D, params)
+
+    @settings(max_examples=150, deadline=None)
+    @given(long_sequences(), st.data())
+    def test_large_scores_without_a_floor(self, D, data):
+        # a = 0, as on every probe of the f search, so the b-side alone
+        # decides; b in {f-1, f, f+1} sits on the boundary it must find
+        f = min_f(D)
+        near = st.integers(max(0, f - 1), f + 1)
+        b = data.draw(st.one_of(near, st.integers(0, MAX_MAGNITUDE**2)), label="b")
+        params = IntervalParams(0, b)
         assert interval_test(D, params) == _paper_interval_test(D, params)
 
 
