@@ -1,13 +1,13 @@
 """Exhaustive ground truth for small instances, plus classical cross-checks.
 
-``enumerate_extremes`` walks depth first over every point matrix with the
-given score sequence whose pair totals lie in [a_floor, pair_cap], placing
-the unordered pairs in lexicographic order, totals in ascending order and,
-for each total, ascending splits.  Row sums prune it: row i must be spent at
-its last pair (i, n-1).  The walk is deterministic, so counts are
-reproducible.  ``sweep`` instead computes the Pareto frontier of (F, G, E):
-largest pair total, smallest pair total and largest entry, with F and E as
-small and G as large as possible.
+``enumerate_extremes`` counts every point matrix with the given score
+sequence whose pair totals lie in [a_floor, pair_cap], takes its exact
+extremes and keeps the first one, with the unordered pairs placed in
+lexicographic order, totals in ascending order and, for each total,
+ascending splits.  ``sweep`` instead computes the Pareto frontier of
+(F, G, E): largest pair total, smallest pair total and largest entry, with
+F and E as small and G as large as possible.  Both read one memoized
+search, described below; a depth-first walk in the tests referees it.
 
 Any realization has every pair total at most d_{n-1} + d_n, so pair_cap =
 2 * d_n makes the searched space the whole realization space.  The sweep
@@ -35,16 +35,20 @@ b <= C are exactly its first (C + 1)(C + 2)/2 rows.  The table grows a row
 of b at a time when a sequence needs a larger C, so it is never larger than
 the window loop of the sequence that needed it.
 
-The frontier comes from a memoized dynamic programme.  Its state is (pair
-index k, remaining scores), and its value is the Pareto set of (F, G, E)
-over the state's completions: the ways to place pairs k, k+1, ... so that
-every row is spent.  Placing pair (i, j) with split (m_ij, m_ji) and total t
-maps each point of the child state to (max(F, t), min(G, t),
-max(E, m_ij, m_ji)).  That map is monotone in each coordinate, so a dominated
-child point stays dominated after it, and keeping only Pareto sets loses
-nothing.  The value depends on the state and the pair cap alone, so one
-memo keyed by (pair cap, pair index, remaining scores) serves every
-sequence of a sweep, and the budget counts the states it holds.
+The search is a memoized dynamic programme.  Its state is (pair index k,
+remaining scores), and its value covers the state's completions: the ways
+to place pairs k, k+1, ... with totals in [a_floor, pair_cap] so that every
+row is spent.  The value holds their count, the sum of the children's
+counts; their Pareto set of (F, G, E); and the first placement, in the order
+above, that has a completion.  Placing pair (i, j) with split (m_ij, m_ji)
+and total t maps each point of the child state to (max(F, t), min(G, t),
+max(E, m_ij, m_ji)).  That map is monotone in each coordinate, so a
+dominated child point stays dominated after it, and keeping only Pareto
+sets loses nothing.  Following the first placements from the root builds
+the first realization.  The value depends on the state, the pair cap and
+a_floor alone, so one memo keyed by (pair cap, pair index, remaining scores)
+serves every sequence of a sweep, all at a_floor 0, and the budget counts
+the states it holds.
 
 ``landau_test`` and ``moon_test`` are the classical characterizations of
 score sequences of ordinary (one point per match) and c-point-per-match
@@ -115,15 +119,17 @@ def enumerate_extremes(
 ) -> OracleResult:
     """Exhaust all realizations of D with pair totals in [a_floor, pair_cap].
 
-    Counts them, takes their exact extremes and keeps the first one as witness.
+    Counts them, takes their exact extremes and keeps the first one as
+    witness, in the order of pairs lexicographic, totals ascending and
+    splits ascending.
     A pair_cap below ceil(d_n/(n-1)) leaves no room for the top row, so the
     searched space is empty and the result is (correctly) not realizable;
     for exact f/g/e extraction call with pair_cap = 2 * d_n, which contains
     every realization.
 
-    Raises OracleBudgetExceeded when the instance is too large (more than
-    six players, or the state estimate / actual visited states exceed the
-    budget).
+    Raises OracleBudgetExceeded before any search when D has more than six
+    players or the state estimate exceeds the budget, and during the search
+    once the memo holds more than ``budget`` states.
     """
     n = D.n
     if pair_cap < 0:
@@ -136,125 +142,96 @@ def enumerate_extremes(
     if estimate > budget:
         raise OracleBudgetExceeded(f"state estimate {estimate} exceeds budget {budget}")
 
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    rem = list(D.scores)
-    grid = [[0] * n for _ in range(n)]
-    visited = count = 0
-    min_F = max_G = min_E = None
+    memo: dict = {}
+    count, points = _frontier(D, pair_cap, memo, budget, a_floor)
     witness = None
-
-    def dfs(depth: int, cur_max_total: int, cur_min_total: int, cur_max_entry: int):
-        nonlocal visited, count, min_F, max_G, min_E, witness
-        if depth == len(pairs):
-            # every row is spent: row i closes at its pair (i, n-1), and the
-            # capacity cut leaves row n-1 no room at the last pair (n-2, n-1)
-            count += 1
-            if min_F is None or cur_max_total < min_F:
-                min_F = cur_max_total
-            if max_G is None or cur_min_total > max_G:
-                max_G = cur_min_total
-            if min_E is None or cur_max_entry < min_E:
-                min_E = cur_max_entry
-            if witness is None:
-                witness = PointMatrix.from_rows(grid)
-            return
-        i, j = pairs[depth]
-        # last pair of row i is (i, n-1); beyond it rem[i] must be spent
-        pairs_left_in_row = n - j
-        if rem[i] > pairs_left_in_row * pair_cap:
-            return
-        # row j can still win points in pairs (i', j) with i < i' < j and
-        # (j, j'); this pair must leave it no more than that capacity
-        capacity_j = ((j - i - 1) + (n - 1 - j)) * pair_cap
-        min_mji = max(0, rem[j] - capacity_j)
-        last_of_row = j == n - 1
-        for total in range(a_floor, pair_cap + 1):
-            if total > rem[i] + rem[j]:
-                break
-            lo = max(0, total - rem[j])
-            hi = min(total, rem[i], total - min_mji)
-            if last_of_row:
-                # row i closes here, so it must be spent exactly
-                if rem[i] < lo or rem[i] > hi:
-                    continue
-                lo = hi = rem[i]
-            max_total = max(cur_max_total, total)
-            min_total = min(cur_min_total, total)
-            for mij in range(lo, hi + 1):
-                visited += 1
-                if visited > budget:
-                    raise OracleBudgetExceeded(
-                        f"visited more than {budget} pair states"
-                    )
-                mji = total - mij
-                grid[i][j] = mij
-                grid[j][i] = mji
-                rem[i] -= mij
-                rem[j] -= mji
-                dfs(depth + 1, max_total, min_total, max(cur_max_entry, mij, mji))
-                rem[i] += mij
-                rem[j] += mji
-
-    dfs(0, -1, pair_cap + 1, 0)
-    # complete matrices always have n >= 2, so at least one pair updated the
-    # running extremes whenever count > 0
-    return OracleResult(
-        realizable=count > 0,
-        count=count,
-        min_F=min_F,
-        max_G=max_G,
-        min_E=min_E,
-        witness=witness,
-    )
+    if count:
+        # every state on the way has a completion, so each holds its first
+        # placement that leads to one
+        grid = [[0] * n for _ in range(n)]
+        rem = D.scores
+        for k, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+            grid[i][j], grid[j][i], rem = memo[pair_cap, k, rem][2]
+        witness = PointMatrix.from_rows(grid)
+    min_F, max_G, min_E = _extremes(points)
+    return OracleResult(count > 0, count, min_F, max_G, min_E, witness)
 
 
 def _frontier(
-    D: ScoreSequence, pair_cap: int, memo: dict, budget: int
-) -> list[tuple[int, int, int]]:
-    """Pareto set of (F, G, E) over every realization of D with pair totals
-    at most pair_cap: F and E as small, G as large as possible.
+    D: ScoreSequence, pair_cap: int, memo: dict, budget: int, a_floor: int = 0
+) -> tuple[int, list[tuple[int, int, int]]]:
+    """The number of realizations of D with pair totals in [a_floor,
+    pair_cap], and their Pareto set of (F, G, E): F and E as small, G as
+    large as possible.
 
-    ``memo`` maps (pair_cap, pair index, remaining scores) to the frontier of
-    that state's completions and may be shared by many sequences; once it
-    holds more than ``budget`` states, OracleBudgetExceeded is raised.
+    ``memo`` maps (pair_cap, pair index, remaining scores) to that state's
+    completions: their count, their frontier and the first placement, in
+    ascending total and then split, that has a completion, as (m_ij, m_ji,
+    child scores).  It may be shared by many sequences with the same
+    a_floor; once it holds more than ``budget`` states, OracleBudgetExceeded
+    is raised.
     """
     n = D.n
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = list(itertools.combinations(range(n), 2))
 
-    def solve(k: int, rem: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    # nothing may be left at the end; this point is the identity of the map
+    # below
+    spent = 1, [(-1, pair_cap + 1, 0)], None
+    unspent = 0, [], None
+
+    def solve(k: int, rem: tuple[int, ...]) -> tuple:
         if k == len(pairs):
-            # nothing may be left at the end; this point is the identity
-            # of the map below
-            return [] if any(rem) else [(-1, pair_cap + 1, 0)]
+            return unspent if any(rem) else spent
         key = (pair_cap, k, rem)
-        points = memo.get(key)
-        if points is not None:
-            return points
+        value = memo.get(key)
+        if value is not None:
+            return value
         i, j = pairs[k]
         ri, rj = rem[i], rem[j]
+        count = 0
+        first = None
         found: set[tuple[int, int, int]] = set()
-        for total in range(min(pair_cap, ri + rj) + 1):
+        for total in range(a_floor, min(pair_cap, ri + rj) + 1):
             # row i closes at its pair (i, n-1), so it must be spent there
             lo = ri if j == n - 1 else max(0, total - rj)
             for mij in range(lo, min(total, ri) + 1):
                 mji = total - mij
-                child = list(rem)
-                child[i] -= mij
-                child[j] -= mji
+                rest = list(rem)
+                rest[i] -= mij
+                rest[j] -= mji
+                child = tuple(rest)
+                ways, child_points, _ = solve(k + 1, child)
+                if not ways:
+                    continue
+                if not count:
+                    first = mij, mji, child
+                count += ways
                 entry = max(mij, mji)
-                for F, G, E in solve(k + 1, tuple(child)):
+                for F, G, E in child_points:
                     found.add((max(F, total), min(G, total), max(E, entry)))
         # keep the points no other dominates; sorted by (F, -G, E), every
         # point comes after its dominators, and F is already no larger
-        points = memo[key] = []
+        points: list[tuple[int, int, int]] = []
         for F, G, E in sorted(found, key=lambda p: (p[0], -p[1], p[2])):
             if not any(g >= G and e <= E for _, g, e in points):
                 points.append((F, G, E))
+        value = memo[key] = count, points, first
         if len(memo) > budget:
             raise OracleBudgetExceeded(f"visited more than {budget} pair states")
-        return points
+        return value
 
-    return solve(0, D.scores)
+    count, points, _ = solve(0, D.scores)
+    return count, points
+
+
+def _extremes(
+    points: list[tuple[int, int, int]],
+) -> tuple[int | None, int | None, int | None]:
+    """(min F, max G, min E) over a frontier, all None when it is empty."""
+    if not points:
+        return None, None, None
+    Fs, Gs, Es = zip(*points)
+    return min(Fs), max(Gs), min(Es)
 
 
 def _reach(points: list[tuple[int, int, int]], cap: int) -> list[int]:
@@ -354,16 +331,14 @@ def sweep(
             h = summary.e
             cap = 2 * h + 1
 
-            points = _frontier(D, cap, memo, budget)
+            _, points = _frontier(D, cap, memo, budget)
             comparisons += 4
-            min_F = min((F for F, _, _ in points), default=None)
+            min_F, max_G, min_E = _extremes(points)
             if min_F is None or min_F > 2 * h:
                 mismatches.append(
                     f"{seq}: no realization under the evenly-spread cap {2 * h}"
                 )
                 continue
-            max_G = max(G for _, G, _ in points)
-            min_E = min(E for _, _, E in points)
             if min_F != summary.f:
                 mismatches.append(f"{seq}: exhaustive min F {min_F} != f {summary.f}")
             if max_G != summary.g:

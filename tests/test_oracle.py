@@ -19,6 +19,7 @@ from scoreseq import (
 )
 from scoreseq import oracle
 
+from dfs_reference import walk_extremes
 from golden import SCORES_SIX
 
 
@@ -58,8 +59,18 @@ class TestEnumerateExtremes:
             enumerate_extremes(ScoreSequence((0,) * 7), pair_cap=1)
 
     def test_runtime_budget_interrupts(self):
-        with pytest.raises(OracleBudgetExceeded):
-            enumerate_extremes(ScoreSequence((3, 3, 3, 3)), pair_cap=6, budget=100)
+        # the estimate is 8, so only the 9 memo states of the search exceed 8
+        D = ScoreSequence((1, 1, 1))
+        with pytest.raises(OracleBudgetExceeded, match="visited more than 8 pair"):
+            enumerate_extremes(D, pair_cap=2, budget=8)
+        assert enumerate_extremes(D, pair_cap=2, budget=9).count == 8
+
+    def test_six_player_count_beyond_a_walk(self):
+        # independent count: the cap never binds, so row i splits d_i points
+        # over 5 opponents in C(d_i + 4, 4) ways; a walk one realization at a
+        # time would visit more than 10**8 pair states
+        r = enumerate_extremes(ScoreSequence((2, 2, 2, 2, 3, 3)), pair_cap=6)
+        assert r.count == 15**4 * 35**2 == 62015625
 
     def test_empty_window(self):
         r = enumerate_extremes(ScoreSequence((0, 0)), pair_cap=2, a_floor=1)
@@ -213,24 +224,28 @@ class TestSweep:
 
 class TestFrontier:
     def test_matches_per_window_search(self):
-        # slow cross-check, independent of interval_test: every window read
-        # off the frontier against its own exhaustive search, whose witness
-        # must verify and whose min E the frontier points inside the window
-        # must reach, and the frontier extremes against a full search
+        # slow cross-check against the reference walk, independent of
+        # interval_test and of the frontier: the frontier count and extremes
+        # against a full walk, and every window read off the frontier against
+        # its own walk, which enumerate_extremes must equal field by field,
+        # whose witness must verify and whose min E the frontier points
+        # inside the window must reach
         memo = {}
         for n in range(2, 5):
             for seq in itertools.combinations_with_replacement(range(4), n):
                 D = ScoreSequence(seq)
                 cap = 2 * bound_e(D) + 1
-                points = oracle._frontier(D, cap, memo, oracle.DEFAULT_BUDGET)
-                full = enumerate_extremes(D, cap)
+                count, points = oracle._frontier(D, cap, memo, oracle.DEFAULT_BUDGET)
+                full = walk_extremes(D, cap)
+                assert count == full.count, seq
                 assert min(F for F, _, _ in points) == full.min_F, seq
                 assert max(G for _, G, _ in points) == full.max_G, seq
                 assert min(E for _, _, E in points) == full.min_E, seq
                 reach = oracle._reach(points, cap)
                 for b in range(cap + 1):
                     for a in range(b + 1):
-                        window = enumerate_extremes(D, pair_cap=b, a_floor=a)
+                        window = walk_extremes(D, pair_cap=b, a_floor=a)
+                        assert enumerate_extremes(D, b, a) == window, (seq, a, b)
                         found = a <= reach[b]
                         assert found == window.realizable, (seq, a, b)
                         inside = [E for F, G, E in points if F <= b and G >= a]
@@ -241,8 +256,17 @@ class TestFrontier:
                             )
                             assert report.valid, (seq, a, b)
 
+    @pytest.mark.parametrize("pair_cap, a_floor", [(-1, 0), (2, 3), (2, -1)])
+    def test_bad_window_raises_like_the_walk(self, pair_cap, a_floor):
+        D = ScoreSequence((1, 1, 1))
+        with pytest.raises(ValueError) as walked:
+            walk_extremes(D, pair_cap, a_floor)
+        with pytest.raises(ValueError) as searched:
+            enumerate_extremes(D, pair_cap, a_floor)
+        assert str(searched.value) == str(walked.value)
+
     def test_points_are_mutually_undominated(self):
-        points = oracle._frontier(
+        _, points = oracle._frontier(
             ScoreSequence((2, 3, 3, 4)), 5, {}, oracle.DEFAULT_BUDGET
         )
         for p in points:
