@@ -118,11 +118,12 @@ def _as_ints(values: Iterable, what: str) -> tuple[int, ...]:
     return tuple(_as_int(v, what) for v in values)
 
 
-def _validate_scores(scores: Sequence[int]) -> None:
+def _validate_scores(scores: Sequence[int], ordered: bool = False) -> None:
     """Check n >= 2 and 0 <= d <= MAX_MAGNITUDE, naming the most extreme bad score."""
     if len(scores) < 2:
         raise InputTooShort(f"need at least 2 scores, got {len(scores)}")
-    lowest, highest = min(scores), max(scores)
+    # nondecreasing (``ordered``) scores have their extremes at their ends
+    lowest, highest = (scores[0], scores[-1]) if ordered else (min(scores), max(scores))
     if lowest < 0:
         raise NegativeScore(f"score {lowest} is negative")
     if highest > MAX_MAGNITUDE:
@@ -287,7 +288,7 @@ def normalize_sequence(raw: Sequence[int]) -> tuple[ScoreSequence, tuple[int, ..
     raw = _as_ints(raw, "score")
     order = tuple(sorted(range(len(raw)), key=raw.__getitem__))
     scores = tuple(map(raw.__getitem__, order))
-    _validate_scores(scores)
+    _validate_scores(scores, ordered=True)
     # plain ints, checked and sorted: fill the value without ScoreSequence's re-scan
     D = ScoreSequence.__new__(ScoreSequence)
     D._fill(scores)

@@ -44,16 +44,20 @@ above, that has a completion.  Placing pair (i, j) with split (m_ij, m_ji)
 and total t maps each point of the child state to (max(F, t), min(G, t),
 max(E, m_ij, m_ji)).  That map is monotone in each coordinate, so a
 dominated child point stays dominated after it, and keeping only Pareto
-sets loses nothing.  Following the first placements from the root builds
-the first realization.  The value depends on the state, the pair cap and
-a_floor alone, so one memo keyed by (pair cap, pair index, remaining scores)
-serves every sequence of a sweep, all at a_floor 0, and the budget counts
-the states it holds.
+sets loses nothing.  Row i closes at its pair (i, n-1), which must spend
+it, so at the last pair every other row is spent and only the total
+r_{n-1} + r_n can complete; the search tries no other.  Following the
+first placements from the root builds the first realization.  The value
+depends on the state, the pair cap and a_floor alone, so one memo keyed by
+(pair cap, pair index, remaining scores) serves every sequence of a sweep,
+all at a_floor 0, and the budget counts the states it holds.
 
 ``landau_test`` and ``moon_test`` are the classical characterizations of
 score sequences of ordinary (one point per match) and c-point-per-match
 round robins; the general interval test must agree with them on the
-diagonal windows (1,1) and (c,c).
+diagonal windows (1,1) and (c,c).  A sweep builds those windows once, and
+since ``landau_test`` is ``moon_test`` at c = 1, one probe of (1,1) and one
+Landau answer serve both checks, which still count as two comparisons.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ from .core import (
     OracleBudgetExceeded,
     PointMatrix,
     ScoreSequence,
+    _validate_scores,
     _Value,
 )
 
@@ -173,6 +178,7 @@ def _frontier(
     """
     n = D.n
     pairs = list(itertools.combinations(range(n), 2))
+    last = len(pairs) - 1
 
     # nothing may be left at the end; this point is the identity of the map
     # below
@@ -191,7 +197,9 @@ def _frontier(
         count = 0
         first = None
         found: set[tuple[int, int, int]] = set()
-        for total in range(a_floor, min(pair_cap, ri + rj) + 1):
+        # the last pair closes both rows, so only the total ri + rj can complete
+        least = max(a_floor, ri + rj) if k == last else a_floor
+        for total in range(least, min(pair_cap, ri + rj) + 1):
             # row i closes at its pair (i, n-1), so it must be spent there
             lo = ri if j == n - 1 else max(0, total - rj)
             for mij in range(lo, min(total, ri) + 1):
@@ -301,10 +309,12 @@ def sweep(
       sequence's reach list per window; the windows are the first
       (2h + 2)(2h + 3)/2 rows of a table shared by all sequences, ordered
       by b then a and grown on demand;
-    * interval_test on the diagonal windows against landau_test/moon_test.
+    * interval_test on the diagonal windows against landau_test/moon_test,
+      with (1, 1) probed once for both.
 
     The budget counts the frontier states created over the whole call;
-    there is no per-sequence state estimate.
+    there is no per-sequence state estimate.  A d_max beyond MAX_MAGNITUDE
+    raises ScoreSequence's ValueError up front, so no sequence is re-checked.
     ``moon_c_max = 0`` skips the c-point checks; a negative value is an error.
     An n_max beyond six players raises OracleBudgetExceeded before any search.
     Returns a report whose ``mismatches`` must be empty.
@@ -315,18 +325,21 @@ def sweep(
         raise ValueError(f"moon_c_max {moon_c_max} must be nonnegative")
     if n_max > MAX_ORACLE_PLAYERS:
         raise OracleBudgetExceeded(f"{n_max} players is beyond exhaustive reach")
+    _validate_scores((0, d_max))  # so every generated sequence is a valid one
     mismatches: list[str] = []
     comparisons = 0
     by_length: dict[int, int] = {}
     # (a, b, IntervalParams(a, b)) ordered by b, then a; rows up to b = top
     windows: list[tuple[int, int, IntervalParams]] = []
     top = -1
+    diagonals = [IntervalParams(c, c) for c in range(1, max(moon_c_max, 1) + 1)]
     memo: dict = {}  # frontier states, shared by all sequences
     for n in range(2, n_max + 1):
         cnt = 0
         for seq in itertools.combinations_with_replacement(range(d_max + 1), n):
             cnt += 1
-            D = ScoreSequence(seq)
+            D = ScoreSequence.__new__(ScoreSequence)  # sorted, in range: no re-check
+            D._fill(seq)
             summary = extremal_summary(D)
             h = summary.e
             cap = 2 * h + 1
@@ -361,12 +374,15 @@ def sweep(
                         f"!= interval_test {fast}"
                     )
 
-            comparisons += 1
-            if landau_test(D) != interval_test(D, IntervalParams(1, 1)):
-                mismatches.append(f"{seq}: landau_test disagrees with window (1,1)")
-            for c in range(1, moon_c_max + 1):
-                comparisons += 1
-                if moon_test(D, c) != interval_test(D, IntervalParams(c, c)):
+            comparisons += 1 + moon_c_max
+            for c, params in enumerate(diagonals, 1):
+                # landau_test is moon_test at c = 1, so (1, 1) answers both
+                classical = landau_test(D) if c == 1 else moon_test(D, c)
+                if classical == interval_test(D, params):
+                    continue
+                if c == 1:
+                    mismatches.append(f"{seq}: landau_test disagrees with window (1,1)")
+                if c <= moon_c_max:
                     mismatches.append(
                         f"{seq}: moon_test({c}) disagrees with window ({c},{c})"
                     )

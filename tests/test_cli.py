@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -135,9 +136,9 @@ class TestReconstruct:
         calls = []
         validate = core._validate_scores
 
-        def counting(scores):
+        def counting(scores, *flags, **named):
             calls.append(scores)
-            return validate(scores)
+            return validate(scores, *flags, **named)
 
         # construct imports the name, so patch its binding as well
         monkeypatch.setattr(core, "_validate_scores", counting)
@@ -277,6 +278,21 @@ class TestSweep:
         assert code == 2
         assert out == ""
         assert "moon_c_max -1 must be nonnegative" in err
+
+    def test_d_max_beyond_magnitude_is_input_error(self, capsys, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("sweep walked a sequence")
+
+        # refusing the grid too keeps a regression from building a pool of
+        # 10**9 scores before it fails
+        monkeypatch.setattr(oracle, "_frontier", refused)
+        monkeypatch.setattr(itertools, "combinations_with_replacement", refused)
+        code, out, err = invoke(
+            capsys, "sweep", "--n-max", "2", "--d-max", "1000000001"
+        )
+        assert code == 2
+        assert out == ""
+        assert "exceeds supported magnitude" in err
 
     def test_seven_players_is_budget_error(self, capsys, monkeypatch):
         def refused(*args, **kwargs):

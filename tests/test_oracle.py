@@ -18,6 +18,7 @@ from scoreseq import (
     verify_realization,
 )
 from scoreseq import oracle
+from scoreseq.core import MAX_MAGNITUDE
 
 from dfs_reference import walk_extremes
 from golden import SCORES_SIX
@@ -165,7 +166,7 @@ class TestSweep:
 
     def test_each_window_is_built_once(self, monkeypatch):
         # one shared table: the 21 windows with b <= 5, the largest cap of
-        # sweep(3, 2), plus the four diagonal windows of each of 16 sequences
+        # sweep(3, 2), plus the three diagonal windows (1,1), (2,2), (3,3)
         built = 0
 
         class Counting(IntervalParams):
@@ -176,11 +177,12 @@ class TestSweep:
 
         monkeypatch.setattr(oracle, "IntervalParams", Counting)
         assert sweep(3, 2).clean
-        assert built == 21 + 16 * 4
+        assert built == 21 + 3
 
     @pytest.mark.parametrize("n_max, d_max", [(3, 2), (2, 3)])
     def test_windows_in_table_order(self, monkeypatch, n_max, d_max):
-        # every 0 <= a <= b <= 2h+1 in b-then-a order, then the diagonals
+        # every 0 <= a <= b <= 2h+1 in b-then-a order, then the diagonals,
+        # (1, 1) once for both landau_test and moon_test(1)
         seen = {}
         fast = oracle.interval_test
 
@@ -195,7 +197,7 @@ class TestSweep:
             for seq in itertools.combinations_with_replacement(range(d_max + 1), n):
                 cap = 2 * bound_e(ScoreSequence(seq)) + 1
                 windows = [(a, b) for b in range(cap + 1) for a in range(b + 1)]
-                expected[seq] = windows + [(1, 1), (1, 1), (2, 2), (3, 3)]
+                expected[seq] = windows + [(1, 1), (2, 2), (3, 3)]
         assert seen == expected
 
     def test_budget_counts_frontier_states(self):
@@ -211,6 +213,17 @@ class TestSweep:
         monkeypatch.setattr(oracle, "_frontier", refused)
         with pytest.raises(OracleBudgetExceeded, match="7 players"):
             sweep(7, 0)
+
+    def test_d_max_beyond_magnitude_rejected_before_any_walk(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("sweep walked a sequence")
+
+        # refusing the grid too keeps a regression from building a pool of
+        # 10**9 scores before it fails
+        monkeypatch.setattr(oracle, "_frontier", refused)
+        monkeypatch.setattr(itertools, "combinations_with_replacement", refused)
+        with pytest.raises(ValueError, match="exceeds supported magnitude"):
+            sweep(2, MAX_MAGNITUDE + 1)
 
     @pytest.mark.parametrize("n_max, d_max", [(1, 2), (0, 0), (3, -1)])
     def test_empty_grid_is_rejected(self, n_max, d_max):
