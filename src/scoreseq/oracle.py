@@ -45,12 +45,14 @@ and total t maps each point of the child state to (max(F, t), min(G, t),
 max(E, m_ij, m_ji)).  That map is monotone in each coordinate, so a
 dominated child point stays dominated after it, and keeping only Pareto
 sets loses nothing.  Row i closes at its pair (i, n-1), which must spend
-it, so at the last pair every other row is spent and only the total
-r_{n-1} + r_n can complete; the search tries no other.  Following the
-first placements from the root builds the first realization.  The value
-depends on the state, the pair cap and a_floor alone, so one memo keyed by
-(pair cap, pair index, remaining scores) serves every sequence of a sweep,
-all at a_floor 0, and the budget counts the states it holds.
+it, so at the last pair every other row is spent: that state has the one
+completion (r_{n-1}, r_n), with point (t, t, max(r_{n-1}, r_n)) for t =
+r_{n-1} + r_n, when a_floor <= t <= pair_cap and none otherwise, and the
+search answers it in that closed form.  Following the first placements
+from the root builds the first realization.  The value depends on the
+state, the pair cap and a_floor alone, so one memo keyed by (pair cap, pair
+index, remaining scores) serves every sequence of a sweep, all at a_floor
+0, and the budget counts the states it holds.
 
 ``landau_test`` and ``moon_test`` are the classical characterizations of
 score sequences of ordinary (one point per match) and c-point-per-match
@@ -71,6 +73,7 @@ from .core import (
     OracleBudgetExceeded,
     PointMatrix,
     ScoreSequence,
+    _as_int,
     _validate_scores,
     _Value,
 )
@@ -134,8 +137,12 @@ def enumerate_extremes(
 
     Raises OracleBudgetExceeded before any search when D has more than six
     players or the state estimate exceeds the budget, and during the search
-    once the memo holds more than ``budget`` states.
+    once the memo holds more than ``budget`` states.  A bool or non-integer
+    pair_cap, a_floor or budget raises NotAnInteger.
     """
+    if {type(pair_cap), type(a_floor), type(budget)} != {int}:
+        pair_cap, a_floor = _as_int(pair_cap, "pair_cap"), _as_int(a_floor, "a_floor")
+        budget = _as_int(budget, "budget")
     n = D.n
     if pair_cap < 0:
         raise ValueError(f"pair_cap {pair_cap} must be nonnegative")
@@ -172,58 +179,63 @@ def _frontier(
     ``memo`` maps (pair_cap, pair index, remaining scores) to that state's
     completions: their count, their frontier and the first placement, in
     ascending total and then split, that has a completion, as (m_ij, m_ji,
-    child scores).  It may be shared by many sequences with the same
-    a_floor; once it holds more than ``budget`` states, OracleBudgetExceeded
-    is raised.
+    child scores).  A last-pair state is answered in closed form, as the
+    module docstring shows, and stored like any other.  The memo may be
+    shared by many sequences with the same a_floor; once it holds more than
+    ``budget`` states, OracleBudgetExceeded is raised.
     """
     n = D.n
     pairs = list(itertools.combinations(range(n), 2))
     last = len(pairs) - 1
-
-    # nothing may be left at the end; this point is the identity of the map
-    # below
-    spent = 1, [(-1, pair_cap + 1, 0)], None
-    unspent = 0, [], None
+    spent = (0,) * n
 
     def solve(k: int, rem: tuple[int, ...]) -> tuple:
-        if k == len(pairs):
-            return unspent if any(rem) else spent
         key = (pair_cap, k, rem)
         value = memo.get(key)
         if value is not None:
             return value
         i, j = pairs[k]
         ri, rj = rem[i], rem[j]
-        count = 0
-        first = None
-        found: set[tuple[int, int, int]] = set()
-        # the last pair closes both rows, so only the total ri + rj can complete
-        least = max(a_floor, ri + rj) if k == last else a_floor
-        for total in range(least, min(pair_cap, ri + rj) + 1):
-            # row i closes at its pair (i, n-1), so it must be spent there
-            lo = ri if j == n - 1 else max(0, total - rj)
-            for mij in range(lo, min(total, ri) + 1):
-                mji = total - mij
-                rest = list(rem)
-                rest[i] -= mij
-                rest[j] -= mji
-                child = tuple(rest)
-                ways, child_points, _ = solve(k + 1, child)
-                if not ways:
-                    continue
-                if not count:
-                    first = mij, mji, child
-                count += ways
-                entry = max(mij, mji)
-                for F, G, E in child_points:
-                    found.add((max(F, total), min(G, total), max(E, entry)))
-        # keep the points no other dominates; sorted by (F, -G, E), every
-        # point comes after its dominators, and F is already no larger
-        points: list[tuple[int, int, int]] = []
-        for F, G, E in sorted(found, key=lambda p: (p[0], -p[1], p[2])):
-            if not any(g >= G and e <= E for _, g, e in points):
-                points.append((F, G, E))
-        value = memo[key] = count, points, first
+        if k == last:
+            # every other row closed at its pair with n-1, so the one
+            # completion places ri and rj, if their total lies in the window
+            total = ri + rj
+            if a_floor <= total <= pair_cap:
+                value = 1, [(total, total, ri if ri > rj else rj)], (ri, rj, spent)
+            else:
+                value = 0, [], None
+        else:
+            head, mid, tail = rem[:i], rem[i + 1 : j], rem[j + 1 :]
+            count = 0
+            first = None
+            found: set[tuple[int, int, int]] = set()
+            for total in range(a_floor, min(pair_cap, ri + rj) + 1):
+                # row i closes at its pair (i, n-1), so it must be spent there
+                lo = ri if j == n - 1 else max(0, total - rj)
+                for mij in range(lo, min(total, ri) + 1):
+                    mji = total - mij
+                    child = (*head, ri - mij, *mid, rj - mji, *tail)
+                    ways, child_points, _ = solve(k + 1, child)
+                    if not ways:
+                        continue
+                    if not count:
+                        first = mij, mji, child
+                    count += ways
+                    entry = mij if mij > mji else mji
+                    for F, G, E in child_points:
+                        found.add((
+                            F if F > total else total,
+                            G if G < total else total,
+                            E if E > entry else entry,
+                        ))
+            # keep the points no other dominates; sorted by (F, -G, E), every
+            # point comes after its dominators, and F is already no larger
+            points: list[tuple[int, int, int]] = []
+            for F, G, E in sorted(found, key=lambda p: (p[0], -p[1], p[2])):
+                if not any(g >= G and e <= E for _, g, e in points):
+                    points.append((F, G, E))
+            value = count, points, first
+        memo[key] = value
         if len(memo) > budget:
             raise OracleBudgetExceeded(f"visited more than {budget} pair states")
         return value
@@ -263,12 +275,14 @@ def landau_test(D: ScoreSequence) -> bool:
 
 def moon_test(D: ScoreSequence, c: int) -> bool:
     """c-points-per-match round robin check: S_n = c*B_n and S_k >= c*B_k."""
+    if type(c) is not int:
+        c = _as_int(c, "c")
     if c < 1:
         raise ValueError(f"points per match c={c} must be at least 1")
     n = D.n
-    S = list(itertools.accumulate(D.scores, initial=0))
-    if S[n] != c * (n * (n - 1) // 2):
+    if sum(D.scores) != c * (n * (n - 1) // 2):
         return False
+    S = list(itertools.accumulate(D.scores, initial=0))
     return all(S[k] >= c * (k * (k - 1) // 2) for k in range(1, n))
 
 
@@ -316,9 +330,13 @@ def sweep(
     there is no per-sequence state estimate.  A d_max beyond MAX_MAGNITUDE
     raises ScoreSequence's ValueError up front, so no sequence is re-checked.
     ``moon_c_max = 0`` skips the c-point checks; a negative value is an error.
+    A bool or non-integer argument raises NotAnInteger.
     An n_max beyond six players raises OracleBudgetExceeded before any search.
     Returns a report whose ``mismatches`` must be empty.
     """
+    if {type(n_max), type(d_max), type(moon_c_max), type(budget)} != {int}:
+        n_max, d_max = _as_int(n_max, "n_max"), _as_int(d_max, "d_max")
+        moon_c_max, budget = _as_int(moon_c_max, "moon_c_max"), _as_int(budget, "budget")
     if n_max < 2 or d_max < 0:
         raise ValueError(f"need n_max >= 2 and d_max >= 0, got {n_max}, {d_max}")
     if moon_c_max < 0:

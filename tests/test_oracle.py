@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from scoreseq import (
     IntervalParams,
+    NotAnInteger,
     OracleBudgetExceeded,
     ScoreSequence,
     SweepReport,
@@ -235,7 +236,66 @@ class TestSweep:
             sweep(3, 2, moon_c_max=-1)
 
 
+THREE_ONES = ScoreSequence((1, 1, 1))
+
+
+class _Index:
+    """An integer that is no int, as operator.index accepts it."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+class TestIntegerContract:
+    @pytest.mark.parametrize(
+        "func, args, kwargs, name",
+        [
+            (enumerate_extremes, (THREE_ONES, True), {}, "pair_cap"),
+            (enumerate_extremes, (THREE_ONES, 2.0), {}, "pair_cap"),
+            (enumerate_extremes, (THREE_ONES, 2), {"a_floor": True}, "a_floor"),
+            (enumerate_extremes, (THREE_ONES, 2), {"budget": 10.5}, "budget"),
+            (sweep, (2.0, 1), {}, "n_max"),
+            (sweep, (2, 2.0), {}, "d_max"),
+            (sweep, (3, True), {}, "d_max"),
+            (sweep, (2, 1), {"moon_c_max": 1.0}, "moon_c_max"),
+            (sweep, (2, 1), {"budget": True}, "budget"),
+            (moon_test, (THREE_ONES, 1.0), {}, "c"),
+            (moon_test, (THREE_ONES, True), {}, "c"),
+        ],
+    )
+    def test_bools_and_non_integers_are_refused(self, func, args, kwargs, name):
+        with pytest.raises(NotAnInteger, match=rf"^{name} "):
+            func(*args, **kwargs)
+
+    def test_integers_that_are_no_int_are_accepted(self):
+        two = _Index(2)
+        assert enumerate_extremes(THREE_ONES, two, _Index(0), _Index(9)).count == 8
+        assert sweep(_Index(3), two, _Index(3), _Index(40)) == sweep(3, 2)
+        assert moon_test(ScoreSequence((2, 2, 2)), two)
+
+
 class TestFrontier:
+    def test_memo_states_on_larger_frontiers(self):
+        memo = {}
+        oracle._frontier(
+            ScoreSequence((2, 2, 2, 2, 3, 3)), 6, memo, oracle.DEFAULT_BUDGET
+        )
+        assert len(memo) == 2714
+        fives = ScoreSequence((4,) * 5)
+        memo = {}
+        count, _ = oracle._frontier(fives, 6, memo, oracle.DEFAULT_BUDGET, a_floor=2)
+        assert (len(memo), count) == (1938, 219)
+        assert enumerate_extremes(fives, 6, a_floor=2).witness.entries == (
+            (0, 0, 0, 2, 2),
+            (2, 0, 0, 0, 2),
+            (2, 2, 0, 0, 0),
+            (0, 2, 2, 0, 0),
+            (0, 0, 2, 2, 0),
+        )
+
     def test_matches_per_window_search(self):
         # slow cross-check against the reference walk, independent of
         # interval_test and of the frontier: the frontier count and extremes
