@@ -35,7 +35,7 @@ print("extremal parameters:")
 print(f"  e = {summary.e}   (smallest achievable largest entry)")
 print(f"  f = {summary.f}   (smallest achievable largest pair total)")
 print(f"  g = {summary.g}   (largest achievable smallest pair total)")
-print(f"  f was searched in [{summary.f_search_lo}, {summary.f_search_hi}]")
+print(f"  f lies in its window [{summary.f_search_lo}, {summary.f_search_hi}]")
 print()
 
 print("probing pair-total windows:")

@@ -14,14 +14,14 @@ play: S_n - S_j <= b * (B_n - B_j) for 0 <= j < n (the top-set form).
 The two sides of the test are independent: the left inequalities involve
 only ``a`` and the right ones only ``b``.  That makes the largest feasible
 ``a`` (called g) a closed-form minimum of floored prefix averages, and the
-smallest feasible ``b`` (called f) the target of a monotone binary search.
-The smallest achievable single entry e is the pigeonhole bound of the top
+smallest feasible ``b`` (called f) a closed-form maximum of ceiled top-set
+averages, max over 0 <= j < n of ceil((S_n - S_j) / (B_n - B_j)).  The
+smallest achievable single entry e is the pigeonhole bound of the top
 score.  All arithmetic is exact; no floating point is used anywhere.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from itertools import accumulate, islice
 from operator import floordiv
 
@@ -77,56 +77,38 @@ def f_search_interval(D: ScoreSequence) -> tuple[int, int]:
     return lo, 2 * h
 
 
-def _bisect(lo: int, hi: int, ok: Callable[[int], bool]) -> int:
-    """Smallest x in (lo, hi] with ok(x), for ok monotone, false at lo, true at hi."""
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def min_f(D: ScoreSequence) -> int:
     """Smallest b such that D is realizable with all pair totals <= b.
 
-    Binary search over the guaranteed window; feasibility in b is monotone
-    because raising b only relaxes the right-hand inequalities.
-    O(n log(d_n / n)) time.
+    O(n) time: one ``interval_test`` pass, then at most one pass of the
+    top-set formula.
     """
     return _min_f(D, *f_search_interval(D))
 
 
 def _min_f(D: ScoreSequence, lo: int, hi: int) -> int:
-    """``min_f`` over the window [lo, hi] that ``f_search_interval`` gave for D."""
-    feasible = lambda b: interval_test(D, IntervalParams(0, b))
-    return lo if feasible(lo) else _bisect(lo, hi, feasible)
+    """``min_f`` over the window [lo, hi] that ``f_search_interval`` gave for D.
 
-
-def min_f_closed_form(D: ScoreSequence) -> int:
-    """Direct O(n) evaluation of f, used to cross-check the binary search.
-
-    Unfolding the loss table turns the right-hand inequalities into one
-    constraint per index pair 0 <= j < n, max(j, 1) <= k <= n:
-
-        T_k - S_j  <=  b * (B_n - B_j),    T_k = S_k + (n - k) * d_k.
-
-    For a fixed j only top = max over k >= max(j, 1) of T_k counts, so one
-    backward pass that keeps this suffix maximum yields f as the largest
-    ceiled quotient (top - S_j) / (B_n - B_j) over j.
+    f is the largest ceil((S_n - S_j) / (B_n - B_j)) over 0 <= j < n; its
+    terms j = 0 and j = n - 1 are the two bounds that make up lo.  A test
+    pass costs about half a formula pass, so it settles the common case
+    f = lo first.  Past lo, a window at most two wide needs no formula:
+    there f = lo + 1, because f = hi = 2h with lo = 2h - 2 is impossible.
+    Every score is at most h(n - 1), so a top set of n - j players that
+    needs more than 2h - 1 per pair has (2h - 1)j < n - 1.  Then
+    B_n >= (2h - 1)B_j, and S_n > (2h - 1)(B_n - B_j) >= (2h - 2)B_n lifts
+    lo to 2h - 1.
     """
-    scores = D.scores
-    n = len(scores)
-    S = list(accumulate(scores, initial=0))
-    pairs = n * (n - 1) // 2
-    top = S[n]
-    best = 0
-    for j in range(n - 1, -1, -1):
-        if j:
-            top = max(top, S[j] + (n - j) * scores[j - 1])
-        best = max(best, ceil_div(top - S[j], pairs - j * (j - 1) // 2))
-    return best
+    if interval_test(D, IntervalParams(0, lo)):
+        return lo
+    if hi - lo <= 2:
+        return lo + 1
+    s = D.scores
+    n = len(s)
+    # -(S_n - S_j) // (B_n - B_j) is minus the ceiled quotient, for j = 0 .. n-1
+    minus_tops = accumulate(s[:-1], initial=-sum(s))
+    pairs = accumulate(range(0, 1 - n, -1), initial=n * (n - 1) // 2)
+    return -min(map(floordiv, minus_tops, pairs))
 
 
 def max_g(D: ScoreSequence) -> int:
@@ -140,16 +122,8 @@ def max_g(D: ScoreSequence) -> int:
     return min(map(floordiv, S, accumulate(range(1, D.n))))  # over B_2 .. B_n
 
 
-def max_g_by_search(D: ScoreSequence, f: int) -> int:
-    """Binary-search evaluation of g, used to cross-check the closed form."""
-    if interval_test(D, IntervalParams(f, f)):
-        return f
-    # floor 0 is feasible and f is not; g + 1 is the first infeasible floor
-    return _bisect(0, f, lambda a: not interval_test(D, IntervalParams(a, f))) - 1
-
-
 def extremal_summary(D: ScoreSequence) -> ExtremalSummary:
-    """Compute e, f, g together with the window the f-search used."""
+    """Compute e, f, g together with the window that holds f."""
     lo, hi = f_search_interval(D)
     # hi is twice bound_e(D), so e comes from the window already in hand
     return ExtremalSummary(

@@ -30,9 +30,9 @@ from scoreseq import (
     sweep,
     verify_realization,
 )
-from scoreseq.analysis import max_g_by_search, min_f_closed_form
 from scoreseq.cli import _best_time, generate_scores
 
+from f_reference import max_g_by_search, min_f_by_loss_table, min_f_by_search
 from golden import SCORES_SIX, TABLE_BALANCED, TABLE_UNBALANCED, TABLE_WIDE
 from scoreseq import PointMatrix
 
@@ -221,7 +221,9 @@ def test_criterion_8_formula_cross_checks():
         nonlocal mismatches, checked
         checked += 1
         f = min_f(D)
-        if min_f_closed_form(D) != f:
+        if min_f_by_loss_table(D) != f:
+            mismatches += 1
+        if min_f_by_search(D) != f:
             mismatches += 1
         if max_g_by_search(D, f) != max_g(D):
             mismatches += 1

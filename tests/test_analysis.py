@@ -15,9 +15,11 @@ from scoreseq import (
     min_f,
 )
 from scoreseq import analysis
-from scoreseq.analysis import f_search_interval, max_g_by_search, min_f_closed_form
-from scoreseq.core import MAX_MAGNITUDE
+from scoreseq.analysis import f_search_interval
+from scoreseq.core import MAX_MAGNITUDE, ceil_div
 
+import f_reference
+from f_reference import max_g_by_search, min_f_by_loss_table, min_f_by_search
 from golden import SCORES_SIX
 
 SIX = ScoreSequence(SCORES_SIX)
@@ -39,6 +41,15 @@ def long_sequences(draw, max_n=300, max_d=MAX_MAGNITUDE):
     lo = draw(st.integers(0, max_d))
     xs = st.integers(lo, draw(st.integers(lo, max_d)))
     return ScoreSequence(tuple(sorted(draw(st.lists(xs, min_size=n, max_size=n)))))
+
+
+@st.composite
+def narrow_windows(draw, max_n=400):
+    # scores below 2(n - 1) make h <= 2, so f's window [lo, 2h] is at most
+    # two wide
+    n = draw(st.integers(2, max_n))
+    xs = st.lists(st.integers(0, 2 * (n - 1)), min_size=n, max_size=n)
+    return ScoreSequence(tuple(sorted(draw(xs))))
 
 
 def _interval_test_written_out(D, a, b):
@@ -240,14 +251,16 @@ class TestMaxG:
 
 
 class TestClosedFormCrossChecks:
-    def test_quadratic_f_on_named_cases(self):
-        assert min_f_closed_form(SIX) == 9
-        assert min_f_closed_form(ZEROS_FORTIES) == 10
-        assert min_f_closed_form(ScoreSequence((1, 1, 1))) == 1
+    def test_loss_table_f_on_named_cases(self):
+        assert min_f_by_loss_table(SIX) == 9
+        assert min_f_by_loss_table(ZEROS_FORTIES) == 10
+        assert min_f_by_loss_table(ScoreSequence((1, 1, 1))) == 1
 
     @given(sequences(max_n=12, max_d=100))
-    def test_quadratic_f_agrees_with_binary_search(self, D):
-        assert min_f_closed_form(D) == min_f(D)
+    def test_f_agrees_with_loss_table_and_search(self, D):
+        f = min_f(D)
+        assert min_f_by_loss_table(D) == f
+        assert min_f_by_search(D) == f
 
     @given(sequences(max_n=12, max_d=100))
     def test_g_search_agrees_with_closed_form(self, D):
@@ -255,9 +268,54 @@ class TestClosedFormCrossChecks:
         assert max_g_by_search(D, f) == max_g(D)
 
 
+def test_f_is_proved_on_every_branch():
+    # f is feasible, and a top set that cannot fit under f - 1 shows it; the
+    # drawn inputs take f at the window floor, past the floor of a narrow
+    # window and from the formula
+    branches = set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(long_sequences(max_n=400, max_d=10**6), narrow_windows()))
+    def check(D):
+        f = min_f(D)
+        assert interval_test(D, IntervalParams(0, f))
+        # the top n - j players score S_n - S_j and take part in B_n - B_j
+        # pairs, so no cap below that ceiled average fits them
+        n, s = D.n, D.scores
+        S_n, B_n = sum(s), n * (n - 1) // 2
+        bounds = [
+            ceil_div(S_n - sum(s[:j]), B_n - j * (j - 1) // 2) for j in range(n)
+        ]
+        j_star = max(range(n), key=bounds.__getitem__)
+        assert bounds[j_star] == f
+        assert min_f_by_search(D) == f
+        assert min_f_by_loss_table(D) == f
+        lo, hi = f_search_interval(D)
+        branches.add("floor" if f == lo else "narrow" if hi - lo <= 2 else "formula")
+
+    check()
+    assert branches == {"floor", "narrow", "formula"}
+
+
+def test_min_f_probes_only_the_window_floor(monkeypatch):
+    probes = []
+
+    def probe(D, params):
+        probes.append(params)
+        return interval_test(D, params)
+
+    monkeypatch.setattr(analysis, "interval_test", probe)
+    for n in range(2, 6):
+        for seq in itertools.combinations_with_replacement(range(7), n):
+            D = ScoreSequence(seq)
+            probes.clear()
+            min_f(D)
+            assert probes == [IntervalParams(0, f_search_interval(D)[0])], seq
+
+
 def test_search_probes_are_pinned(monkeypatch):
-    # every window min_f and max_g_by_search hand to interval_test, in
-    # order, with its answer, over all n <= 5, d <= 6 sequences
+    # every window the bisections hand to interval_test, in order, with its
+    # answer, over all n <= 5, d <= 6 sequences
     probes = hashlib.sha256()
 
     def probe(D, params):
@@ -265,11 +323,11 @@ def test_search_probes_are_pinned(monkeypatch):
         probes.update(repr((D.scores, params.a, params.b, answer)).encode())
         return answer
 
-    monkeypatch.setattr(analysis, "interval_test", probe)
+    monkeypatch.setattr(f_reference, "interval_test", probe)
     for n in range(2, 6):
         for seq in itertools.combinations_with_replacement(range(7), n):
             D = ScoreSequence(seq)
-            max_g_by_search(D, min_f(D))
+            max_g_by_search(D, min_f_by_search(D))
     assert probes.hexdigest() == (
         "30cdda0774b5fe10e48a33f6cbabe7a92f47f14825efa23092529cc25b07fda2"
     )
