@@ -7,12 +7,9 @@ won against player j, with a zero diagonal; the row sums are the players'
 scores.  A score sequence is the nondecreasing vector of those scores.
 
 Everything here is exact integer arithmetic on immutable values.  All
-operations are pure functions and safe to call concurrently.  They make two
-writes, and both are idempotent: ``matrix_stats`` caches its result on a
-``PointMatrix``, so racing calls store equal values; and
-``normalize_sequence`` grows a shared tuple of index ints, from which every
-permutation it returns takes its entries, so a race only rebinds that table
-to an equal prefix of ``range``.
+operations are pure functions and safe to call concurrently: the one write,
+``matrix_stats`` caching its result on a ``PointMatrix``, is idempotent, so
+racing calls store equal values.
 """
 
 from __future__ import annotations
@@ -280,23 +277,6 @@ class RealizationReport(_Value):
         return self.zero_diagonal and self.row_sums_match and self.pair_totals_in_window
 
 
-# Indices 0 .. len(_indices) - 1, shared by every permutation that
-# normalize_sequence returns: an index above 256 is otherwise a fresh int
-# in each answer.  Grown on demand, never past _INDICES_MAX entries.
-_INDICES_MAX = 1 << 16
-_indices: tuple[int, ...] = ()
-
-
-def _index_table(n: int) -> tuple[int, ...]:
-    """The shared index table, grown to hold min(n, _INDICES_MAX) entries."""
-    global _indices
-    table = _indices
-    want = min(n, _INDICES_MAX)
-    if len(table) < want:
-        table = _indices = table + tuple(range(len(table), want))
-    return table
-
-
 def normalize_sequence(raw: Sequence[int]) -> tuple[ScoreSequence, tuple[int, ...]]:
     """Sort raw scores nondecreasingly and report where each one came from.
 
@@ -306,10 +286,7 @@ def normalize_sequence(raw: Sequence[int]) -> tuple[ScoreSequence, tuple[int, ..
     Raises InputTooShort, NegativeScore or NotAnInteger for invalid input.
     """
     raw = _as_ints(raw, "score")
-    n = len(raw)
-    table = _index_table(n)
-    indices = table[:n] + tuple(range(len(table), n))
-    order = tuple(sorted(indices, key=raw.__getitem__))
+    order = tuple(sorted(range(len(raw)), key=raw.__getitem__))
     scores = tuple(map(raw.__getitem__, order))
     _validate_scores(scores, ordered=True)
     # plain ints, checked and sorted: fill the value without ScoreSequence's re-scan

@@ -1,9 +1,5 @@
 import copy
-import operator
 import pickle
-import random
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +19,6 @@ from scoreseq import (
     normalize_sequence,
     verify_realization,
 )
-from scoreseq import core
 from scoreseq.core import ceil_div
 
 from golden import SCORES_SIX, TABLE_BALANCED, TABLE_UNBALANCED, TABLE_WIDE
@@ -109,52 +104,6 @@ class TestNormalizeSequence:
         for a, b in zip(perm, perm[1:]):
             if raw[a] == raw[b]:
                 assert a < b
-
-    @given(
-        st.integers(2, 700).flatmap(
-            lambda n: st.lists(st.integers(0, 9), min_size=n, max_size=n)
-        )
-    )
-    def test_permutation_is_the_stable_sort_of_range(self, raw):
-        _, perm = normalize_sequence(raw)
-        assert perm == tuple(sorted(range(len(raw)), key=raw.__getitem__))
-
-    def test_permutation_past_the_shared_index_table(self):
-        rng = random.Random(2**16)
-        raw = [rng.randrange(100) for _ in range(2**16 + 1000)]
-        D, perm = normalize_sequence(raw)
-        assert perm == tuple(sorted(range(len(raw)), key=raw.__getitem__))
-        assert D.scores == tuple(sorted(raw))
-
-    @pytest.mark.parametrize("n", [300, 3000, 2**16])
-    def test_permutations_share_their_index_ints(self, n):
-        # an index above 256 is no cached small int, so only a shared table
-        # gives two answers the same objects
-        rng = random.Random(n)
-        raw = [rng.randrange(50) for _ in range(n)]
-        _, first = normalize_sequence(raw)
-        _, again = normalize_sequence(raw)
-        assert all(map(operator.is_, first, again))
-        _, reverse = normalize_sequence(raw[::-1])
-        assert set(map(id, first)) == set(map(id, reverse))
-
-    def test_racing_calls_keep_the_index_table_a_prefix_of_range(self, monkeypatch):
-        # threads that grow the table at once may rebind it to a shorter
-        # table, never to one that is not a prefix of range
-        monkeypatch.setattr(core, "_indices", ())
-        rng = random.Random(8)
-        raws = [[rng.randrange(20) for _ in range(n)] for n in range(300, 3300, 100)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(normalize_sequence, raw) for raw in raws * 4]
-                perms = [future.result(timeout=60)[1] for future in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        for raw, perm in zip(raws * 4, perms):
-            assert perm == tuple(sorted(range(len(raw)), key=raw.__getitem__))
-        assert core._indices == tuple(range(len(core._indices)))
 
 
 class TestScoreSequence:
