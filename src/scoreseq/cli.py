@@ -119,16 +119,10 @@ def generate_scores(n: int, d_max: int, seed: int) -> ScoreSequence:
 
 
 def _best_time(fn, repeats: int) -> float:
-    import time
+    """Fastest of ``repeats`` single calls of fn, garbage collector on."""
+    import timeit
 
-    best = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        elapsed = time.perf_counter() - t0
-        if best is None or elapsed < best:
-            best = elapsed
-    return best
+    return min(timeit.repeat(fn, "gc.enable()", number=1, repeat=repeats))
 
 
 def _cmd_bounds(args: argparse.Namespace) -> Outcome:

@@ -146,6 +146,14 @@ class ScoreSequence(_Value):
             )
         self._fill(s)
 
+    @classmethod
+    def _from_sorted(cls, scores: tuple[int, ...]) -> "ScoreSequence":
+        """``ScoreSequence(scores)`` for plain ints the library has already
+        sorted and range-checked: no type, order or range scan."""
+        D = cls.__new__(cls)
+        D._fill(scores)
+        return D
+
     @property
     def n(self) -> int:
         return len(self.scores)
@@ -198,7 +206,7 @@ class PointMatrix(_StatsSlot):
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "PointMatrix":
-        return cls(tuple(tuple(row) for row in rows))
+        return cls(rows)
 
     @classmethod
     def _from_int_rows(cls, rows: Iterable[Iterable[int]]) -> "PointMatrix":
@@ -289,10 +297,7 @@ def normalize_sequence(raw: Sequence[int]) -> tuple[ScoreSequence, tuple[int, ..
     order = tuple(sorted(range(len(raw)), key=raw.__getitem__))
     scores = tuple(map(raw.__getitem__, order))
     _validate_scores(scores, ordered=True)
-    # plain ints, checked and sorted: fill the value without ScoreSequence's re-scan
-    D = ScoreSequence.__new__(ScoreSequence)
-    D._fill(scores)
-    return D, order
+    return ScoreSequence._from_sorted(scores), order
 
 
 def matrix_stats(M: PointMatrix) -> MatrixStats:
@@ -337,9 +342,6 @@ def verify_realization(
     if M.n != D.n:
         raise ShapeMismatch(f"matrix has {M.n} players, sequence has {D.n}")
     failures: list[str] = []
-
-    diag_ok = True  # PointMatrix construction already enforces the diagonal
-
     stats = matrix_stats(M)
     sums = tuple(sorted(stats.row_sums))
     sums_ok = sums == D.scores
@@ -358,7 +360,7 @@ def verify_realization(
                 if not a <= t <= b:
                     failures.append(f"pair ({i},{j}) total {t} outside [{a},{b}]")
     return RealizationReport(
-        zero_diagonal=diag_ok,
+        zero_diagonal=True,  # every PointMatrix is checked for it on construction
         row_sums_match=sums_ok,
         pair_totals_in_window=window_ok,
         failures=tuple(failures),

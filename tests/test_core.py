@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 
 import pytest
@@ -116,6 +117,16 @@ class TestScoreSequence:
         assert D.n == 3
         assert D.scores == (1, 2, 3)
 
+    def test_sorted_path_builds_the_same_value(self):
+        # every sequence of sweep(4, 3)'s grid: n from 2 to 4, scores up to 3
+        for n in range(2, 5):
+            for seq in itertools.combinations_with_replacement(range(4), n):
+                D = ScoreSequence._from_sorted(seq)
+                ref = ScoreSequence(seq)
+                assert D == ref and hash(D) == hash(ref)
+                assert repr(D) == repr(ref)
+                assert pickle.loads(pickle.dumps(D)) == ref
+
 
 class TestPointMatrix:
     def test_rejects_nonzero_diagonal(self):
@@ -136,6 +147,15 @@ class TestPointMatrix:
 
     def test_row_sums(self):
         assert PointMatrix.from_rows(TABLE_WIDE).row_sums() == SCORES_SIX
+
+    def test_from_rows_accepts_generators(self):
+        M = PointMatrix.from_rows((v for v in row) for row in TABLE_WIDE)
+        assert M == PointMatrix(TABLE_WIDE)
+
+    @pytest.mark.parametrize("bad", [True, 1.0])
+    def test_from_rows_rejects_non_integer_entries(self, bad):
+        with pytest.raises(NotAnInteger):
+            PointMatrix.from_rows([[0, bad], [1, 0]])
 
     def test_int_rows_path_keeps_the_structural_checks(self):
         # the library's own matrices skip only the type scan
