@@ -105,8 +105,9 @@ def _min_f(D: ScoreSequence, lo: int, hi: int) -> int:
         return lo + 1
     s = D.scores
     n = len(s)
-    # -(S_n - S_j) // (B_n - B_j) is minus the ceiled quotient, for j = 0 .. n-1
-    minus_tops = accumulate(s[:-1], initial=-sum(s))
+    # -(S_n - S_j) // (B_n - B_j) is minus the ceiled quotient; map stops at
+    # the n pair counts, so the extra accumulate term is never read
+    minus_tops = accumulate(s, initial=-sum(s))
     pairs = accumulate(range(0, 1 - n, -1), initial=n * (n - 1) // 2)
     return -min(map(floordiv, minus_tops, pairs))
 

@@ -295,7 +295,9 @@ def normalize_sequence(raw: Sequence[int]) -> tuple[ScoreSequence, tuple[int, ..
     """
     raw = _as_ints(raw, "score")
     order = tuple(sorted(range(len(raw)), key=raw.__getitem__))
-    scores = tuple(map(raw.__getitem__, order))
+    # one C-level gather; itemgetter returns a bare value for one index and
+    # fails on none, so short input, sorted as it is, goes straight to the check
+    scores = operator.itemgetter(*order)(raw) if len(raw) > 1 else raw
     _validate_scores(scores, ordered=True)
     return ScoreSequence._from_sorted(scores), order
 

@@ -64,6 +64,7 @@ class TestNormalizeSequence:
             ([10**10, -1], NegativeScore, "score -1 is negative"),
             ([0, 10**9 + 1], ValueError, "exceeds supported magnitude"),
             ([5], InputTooShort, "got 1"),
+            ([], InputTooShort, "got 0"),
         ],
     )
     def test_bad_input_fails_like_naive_construct(self, raw, error, text):
@@ -75,6 +76,34 @@ class TestNormalizeSequence:
         assert type(sorted_info.value) is type(naive_info.value)
         assert str(sorted_info.value) == str(naive_info.value)
         assert text in str(naive_info.value)
+
+    @pytest.mark.parametrize("make", [list, tuple, iter])
+    def test_two_scores_give_pairs(self, make):
+        # the gather returns a bare value for one index; two must stay a pair
+        D, perm = normalize_sequence(make([7, 3]))
+        assert D.scores == (3, 7) and type(D.scores) is tuple
+        assert perm == (1, 0) and type(perm) is tuple
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(2, 3000),
+        st.integers(1, 40),
+        st.sampled_from([0, 7, 1]),
+        st.randoms(use_true_random=False),
+    )
+    def test_large_inputs_sort_stably(self, n, distinct, wrap_every, rnd):
+        # n in the benchmark's range, with heavy ties and some _Index entries
+        values = [rnd.randrange(distinct) for _ in range(n)]
+        raw = [
+            _Index(v) if wrap_every and i % wrap_every == 0 else v
+            for i, v in enumerate(values)
+        ]
+        D, perm = normalize_sequence(raw)
+        assert D.scores == tuple(sorted(values))
+        assert perm == tuple(sorted(range(n), key=lambda i: (values[i], i)))
+        assert type(D.scores) is tuple and type(perm) is tuple
+        assert all(type(s) is int for s in D.scores)
+        assert all(type(i) is int for i in perm)
 
     @given(score_lists)
     def test_idempotent(self, raw):
