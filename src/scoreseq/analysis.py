@@ -15,15 +15,13 @@ The two sides of the test are independent: the left inequalities involve
 only ``a`` and the right ones only ``b``.  That makes the largest feasible
 ``a`` (called g) a closed-form minimum of floored prefix averages, and the
 smallest feasible ``b`` (called f) a closed-form maximum of ceiled top-set
-averages, max over 0 <= j < n of ceil((S_n - S_j) / (B_n - B_j)).  The
-smallest achievable single entry e is the pigeonhole bound of the top
+averages, max over 0 <= j < n of ceil((S_n - S_j) / (B_n - B_j)).  One
+forward pass over the prefix sums takes both, and neither needs a test.
+The smallest achievable single entry e is the pigeonhole bound of the top
 score.  All arithmetic is exact; no floating point is used anywhere.
 """
 
 from __future__ import annotations
-
-from itertools import accumulate, islice
-from operator import floordiv
 
 from .core import ExtremalSummary, IntervalParams, ScoreSequence, ceil_div
 
@@ -80,53 +78,53 @@ def f_search_interval(D: ScoreSequence) -> tuple[int, int]:
 def min_f(D: ScoreSequence) -> int:
     """Smallest b such that D is realizable with all pair totals <= b.
 
-    O(n) time: one ``interval_test`` pass, then at most one pass of the
-    top-set formula.
+    O(n) time: the joint pass of ``_f_and_g``, which also takes g.
     """
-    return _min_f(D, *f_search_interval(D))
-
-
-def _min_f(D: ScoreSequence, lo: int, hi: int) -> int:
-    """``min_f`` over the window [lo, hi] that ``f_search_interval`` gave for D.
-
-    f is the largest ceil((S_n - S_j) / (B_n - B_j)) over 0 <= j < n; its
-    terms j = 0 and j = n - 1 are the two bounds that make up lo.  A test
-    pass costs about half a formula pass, so it settles the common case
-    f = lo first.  Past lo, a window at most two wide needs no formula:
-    there f = lo + 1, because f = hi = 2h with lo = 2h - 2 is impossible.
-    Every score is at most h(n - 1), so a top set of n - j players that
-    needs more than 2h - 1 per pair has (2h - 1)j < n - 1.  Then
-    B_n >= (2h - 1)B_j, and S_n > (2h - 1)(B_n - B_j) >= (2h - 2)B_n lifts
-    lo to 2h - 1.
-    """
-    if interval_test(D, IntervalParams(0, lo)):
-        return lo
-    if hi - lo <= 2:
-        return lo + 1
-    s = D.scores
-    n = len(s)
-    # -(S_n - S_j) // (B_n - B_j) is minus the ceiled quotient; map stops at
-    # the n pair counts, so the extra accumulate term is never read
-    minus_tops = accumulate(s, initial=-sum(s))
-    pairs = accumulate(range(0, 1 - n, -1), initial=n * (n - 1) // 2)
-    return -min(map(floordiv, minus_tops, pairs))
+    return _f_and_g(D)[0]
 
 
 def max_g(D: ScoreSequence) -> int:
     """Largest a such that D is realizable with all pair totals in [a, f].
 
-    The a-side of the test decouples from b, so the answer is the closed
-    form min over 2 <= k <= n of floor(S_k / B_k); it never exceeds f.
-    O(n) time.
+    The a-side of the test decouples from b, so the answer is a closed
+    form; it never exceeds f.  O(n) time: the joint pass of ``_f_and_g``,
+    which also takes f.
     """
-    S = islice(accumulate(D.scores), 1, None)  # S_2 .. S_n
-    return min(map(floordiv, S, accumulate(range(1, D.n))))  # over B_2 .. B_n
+    return _f_and_g(D)[1]
+
+
+def _f_and_g(D: ScoreSequence) -> tuple[int, int]:
+    """f and g in one forward pass over the prefix sums S_j and pair counts B_j.
+
+    f is the largest ceil((S_n - S_j) / (B_n - B_j)) over 0 <= j < n, taken
+    as minus the smallest floor of (S_j - S_n) / (B_n - B_j); g is the
+    smallest floor(S_k / B_k) over 2 <= k <= n.  The terms j = 0 and k = n
+    come from the totals, and j = 1 shares j = 0's pair count with a larger
+    S_j, so it never wins.  The loop takes j = k = 2 .. n - 1.
+    """
+    s = D.scores
+    n = len(s)
+    S_n = sum(s)
+    B_n = n * (n - 1) // 2
+    minus_f = -S_n // B_n
+    g = S_n // B_n
+    S = s[0]
+    B = 0
+    for k in range(1, n - 1):  # S becomes S_{k+1} and B becomes B_{k+1}
+        S += s[k]
+        B += k
+        q = (S - S_n) // (B_n - B)
+        if q < minus_f:
+            minus_f = q
+        q = S // B
+        if q < g:
+            g = q
+    return -minus_f, g
 
 
 def extremal_summary(D: ScoreSequence) -> ExtremalSummary:
     """Compute e, f, g together with the window that holds f."""
     lo, hi = f_search_interval(D)
+    f, g = _f_and_g(D)
     # hi is twice bound_e(D), so e comes from the window already in hand
-    return ExtremalSummary(
-        hi // 2, _min_f(D, lo, hi), max_g(D), f_search_lo=lo, f_search_hi=hi
-    )
+    return ExtremalSummary(hi // 2, f, g, f_search_lo=lo, f_search_hi=hi)

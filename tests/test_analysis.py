@@ -268,14 +268,24 @@ class TestClosedFormCrossChecks:
         assert max_g_by_search(D, f) == max_g(D)
 
 
+def _proof_inputs():
+    # the drawn inputs take f at the window floor, just past the floor of a
+    # narrow window and inside a wide one, so the certificates cover every
+    # kind of window that f_search_interval hands out
+    return st.one_of(long_sequences(max_n=400, max_d=10**6), narrow_windows())
+
+
+def _window_kind(D, f):
+    lo, hi = f_search_interval(D)
+    return "floor" if f == lo else "narrow" if hi - lo <= 2 else "wide"
+
+
 def test_f_is_proved_on_every_branch():
-    # f is feasible, and a top set that cannot fit under f - 1 shows it; the
-    # drawn inputs take f at the window floor, past the floor of a narrow
-    # window and from the formula
-    branches = set()
+    # f is feasible, and a top set that cannot fit under f - 1 shows it
+    kinds = set()
 
     @settings(max_examples=150, deadline=None)
-    @given(st.one_of(long_sequences(max_n=400, max_d=10**6), narrow_windows()))
+    @given(_proof_inputs())
     def check(D):
         f = min_f(D)
         assert interval_test(D, IntervalParams(0, f))
@@ -290,14 +300,37 @@ def test_f_is_proved_on_every_branch():
         assert bounds[j_star] == f
         assert min_f_by_search(D) == f
         assert min_f_by_loss_table(D) == f
-        lo, hi = f_search_interval(D)
-        branches.add("floor" if f == lo else "narrow" if hi - lo <= 2 else "formula")
+        kinds.add(_window_kind(D, f))
 
     check()
-    assert branches == {"floor", "narrow", "formula"}
+    assert kinds == {"floor", "narrow", "wide"}
 
 
-def test_min_f_probes_only_the_window_floor(monkeypatch):
+def test_g_is_proved_on_every_branch():
+    # g is feasible under f, and a bottom set that cannot reach g + 1 shows it
+    kinds = set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_proof_inputs())
+    def check(D):
+        f, g = min_f(D), max_g(D)
+        assert interval_test(D, IntervalParams(g, f))
+        if g < f:
+            assert not interval_test(D, IntervalParams(g + 1, f))
+        # the bottom k players' B_k pairs among themselves score at least
+        # a each, out of their own S_k, so no floor above S_k // B_k fits
+        s = D.scores
+        bounds = {k: sum(s[:k]) // (k * (k - 1) // 2) for k in range(2, D.n + 1)}
+        k_star = min(bounds, key=bounds.__getitem__)
+        assert bounds[k_star] == g
+        assert max_g_by_search(D, f) == g
+        kinds.add(_window_kind(D, f))
+
+    check()
+    assert kinds == {"floor", "narrow", "wide"}
+
+
+def test_f_and_g_make_no_interval_test_probe(monkeypatch):
     probes = []
 
     def probe(D, params):
@@ -308,9 +341,9 @@ def test_min_f_probes_only_the_window_floor(monkeypatch):
     for n in range(2, 6):
         for seq in itertools.combinations_with_replacement(range(7), n):
             D = ScoreSequence(seq)
-            probes.clear()
-            min_f(D)
-            assert probes == [IntervalParams(0, f_search_interval(D)[0])], seq
+            s = extremal_summary(D)
+            assert (min_f(D), max_g(D)) == (s.f, s.g), seq
+            assert probes == [], seq
 
 
 def test_search_probes_are_pinned(monkeypatch):
