@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 _SUBMODULES = ("core", "analysis", "construct", "oracle")
 _EXPORTS = {
-    "analysis": "bound_e extremal_summary interval_test max_g min_f",
+    "analysis": "bound_e extremal_summary interval_test",
     "construct": "mini_max naive_construct pigeonhole_construct",
     "core": "ExtremalSummary InfeasiblePrefix InputTooShort IntervalParams "
     "MatrixStats NegativeScore NotAnInteger OracleBudgetExceeded PointMatrix "

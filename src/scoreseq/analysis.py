@@ -15,10 +15,11 @@ The two sides of the test are independent: the left inequalities involve
 only ``a`` and the right ones only ``b``.  That makes the largest feasible
 ``a`` (called g) a closed-form minimum of floored prefix averages, and the
 smallest feasible ``b`` (called f) a closed-form maximum of ceiled top-set
-averages, max over 0 <= j < n of ceil((S_n - S_j) / (B_n - B_j)).  One
-forward pass over the prefix sums takes both, and neither needs a test.
-The smallest achievable single entry e is the pigeonhole bound of the top
-score.  All arithmetic is exact; no floating point is used anywhere.
+averages, max over 0 <= j < n of ceil((S_n - S_j) / (B_n - B_j)).  The
+smallest achievable single entry e is the pigeonhole bound of the top
+score.  ``extremal_summary`` takes e, f, g and a window that holds f in one
+forward pass over the prefix sums, and makes no test.  All arithmetic is
+exact; no floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -62,52 +63,27 @@ def bound_e(D: ScoreSequence) -> int:
     return ceil_div(D.scores[-1], D.n - 1)
 
 
-def f_search_interval(D: ScoreSequence) -> tuple[int, int]:
-    """Window [lo, hi] guaranteed to contain f.
-
-    lo = max(ceil(S_n / B_n), ceil(d_n / (n - 1))): the global average pair
-    total and the top row's pigeonhole bound.  hi = 2 * ceil(d_n / (n - 1)):
-    attained by the evenly-spread construction.
-    """
-    n = D.n
-    h = bound_e(D)
-    lo = max(ceil_div(sum(D.scores), n * (n - 1) // 2), h)
-    return lo, 2 * h
-
-
-def min_f(D: ScoreSequence) -> int:
-    """Smallest b such that D is realizable with all pair totals <= b.
-
-    O(n) time: the joint pass of ``_f_and_g``, which also takes g.
-    """
-    return _f_and_g(D)[0]
-
-
-def max_g(D: ScoreSequence) -> int:
-    """Largest a such that D is realizable with all pair totals in [a, f].
-
-    The a-side of the test decouples from b, so the answer is a closed
-    form; it never exceeds f.  O(n) time: the joint pass of ``_f_and_g``,
-    which also takes f.
-    """
-    return _f_and_g(D)[1]
-
-
-def _f_and_g(D: ScoreSequence) -> tuple[int, int]:
-    """f and g in one forward pass over the prefix sums S_j and pair counts B_j.
+def extremal_summary(D: ScoreSequence) -> ExtremalSummary:
+    """e, f, g and the window [lo, hi] that holds f, in one forward pass.
 
     f is the largest ceil((S_n - S_j) / (B_n - B_j)) over 0 <= j < n, taken
     as minus the smallest floor of (S_j - S_n) / (B_n - B_j); g is the
     smallest floor(S_k / B_k) over 2 <= k <= n.  The terms j = 0 and k = n
     come from the totals, and j = 1 shares j = 0's pair count with a larger
     S_j, so it never wins.  The loop takes j = k = 2 .. n - 1.
+
+    The window's floor is the larger of f's j = 0 term, the average pair
+    total ceil(S_n / B_n), and e = bound_e(D); its ceiling 2e is attained by
+    the evenly spread construction.
     """
     s = D.scores
     n = len(s)
+    e = bound_e(D)
     S_n = sum(s)
     B_n = n * (n - 1) // 2
     minus_f = -S_n // B_n
     g = S_n // B_n
+    lo = max(-minus_f, e)
     S = s[0]
     B = 0
     for k in range(1, n - 1):  # S becomes S_{k+1} and B becomes B_{k+1}
@@ -119,12 +95,4 @@ def _f_and_g(D: ScoreSequence) -> tuple[int, int]:
         q = S // B
         if q < g:
             g = q
-    return -minus_f, g
-
-
-def extremal_summary(D: ScoreSequence) -> ExtremalSummary:
-    """Compute e, f, g together with the window that holds f."""
-    lo, hi = f_search_interval(D)
-    f, g = _f_and_g(D)
-    # hi is twice bound_e(D), so e comes from the window already in hand
-    return ExtremalSummary(hi // 2, f, g, f_search_lo=lo, f_search_hi=hi)
+    return ExtremalSummary(e, -minus_f, g, f_search_lo=lo, f_search_hi=2 * e)

@@ -31,7 +31,7 @@ import sys
 from collections.abc import Callable, Sequence
 
 # construct and oracle load only in the commands that use them
-from .analysis import bound_e, extremal_summary, interval_test, min_f
+from .analysis import bound_e, extremal_summary, interval_test
 from .core import (
     IntervalParams,
     OracleBudgetExceeded,
@@ -313,7 +313,8 @@ def _cmd_bench(args: argparse.Namespace) -> Outcome:
                 params = IntervalParams(0, 2 * bound_e(D))
                 fn = lambda: interval_test(D, params)
             elif name == "min-f":
-                fn = lambda: min_f(D)
+                # f comes from the one pass that also takes e and g
+                fn = lambda: extremal_summary(D)
             else:
                 fn = lambda: mini_max(D)
             best = _best_time(fn, args.repeats)

@@ -317,7 +317,7 @@ def sweep(
     d_max, one frontier at pair_cap = 2h + 1 (h = ceil(d_n / (n - 1)),
     exact as the module docstring shows) feeds these checks:
 
-    * exhaustive min F / max G / min E against min_f, max_g, bound_e;
+    * exhaustive min F / max G / min E against extremal_summary's f, g, e;
     * realizability of every window (a, b) with b up to one past the
       evenly-spread bound 2h, against interval_test, one lookup in the
       sequence's reach list per window; the windows are the first

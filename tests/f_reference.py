@@ -5,7 +5,8 @@ feasibility is monotone in b (raising b only relaxes the right-hand
 inequalities) and in a (lowering a only relaxes the left-hand ones).
 ``min_f_by_loss_table`` unfolds the paper's loss table into one backward
 pass over a suffix maximum.  None of them shares the top-set formula or
-the prefix-average minimum that ``min_f`` and ``max_g`` evaluate.
+the prefix-average minimum that ``extremal_summary`` evaluates, nor any
+code with it: the bisection window is computed here from the scores.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from collections.abc import Callable
 from itertools import accumulate
 
 from scoreseq import IntervalParams, ScoreSequence, interval_test
-from scoreseq.analysis import f_search_interval
 from scoreseq.core import ceil_div
 
 
@@ -30,8 +30,16 @@ def _bisect(lo: int, hi: int, ok: Callable[[int], bool]) -> int:
 
 
 def min_f_by_search(D: ScoreSequence) -> int:
-    """f by probing the floor of its window, then bisecting the window."""
-    lo, hi = f_search_interval(D)
+    """f by probing the floor of its window, then bisecting the window.
+
+    The window is [max(ceil(S_n / B_n), h), 2h] with h = ceil(d_n / (n - 1)):
+    the average pair total, and the top row's pigeonhole bound on one entry,
+    lie below f, and the evenly spread construction keeps every pair total
+    within 2h.
+    """
+    n = D.n
+    h = ceil_div(D.scores[-1], n - 1)
+    lo, hi = max(ceil_div(sum(D.scores), n * (n - 1) // 2), h), 2 * h
     feasible = lambda b: interval_test(D, IntervalParams(0, b))
     return lo if feasible(lo) else _bisect(lo, hi, feasible)
 

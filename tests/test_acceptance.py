@@ -21,8 +21,6 @@ from scoreseq import (
     interval_test,
     landau_test,
     matrix_stats,
-    max_g,
-    min_f,
     mini_max,
     moon_test,
     naive_construct,
@@ -220,12 +218,13 @@ def test_criterion_8_formula_cross_checks():
     def check(D):
         nonlocal mismatches, checked
         checked += 1
-        f = min_f(D)
+        s = extremal_summary(D)
+        f = s.f
         if min_f_by_loss_table(D) != f:
             mismatches += 1
         if min_f_by_search(D) != f:
             mismatches += 1
-        if max_g_by_search(D, f) != max_g(D):
+        if max_g_by_search(D, f) != s.g:
             mismatches += 1
 
     for n in range(2, 5):
@@ -250,8 +249,8 @@ def test_criterion_8_formula_cross_checks():
     prefix_average_guess = max(
         -(-2 * S // (n * n - n)) for S in itertools.accumulate(D.scores)
     )
-    f = min_f(D)
-    g = max_g(D)
+    s = extremal_summary(D)
+    f, g = s.f, s.g
     ok &= prefix_average_guess == 8
     ok &= g == 0
     ok &= interval_test(D, IntervalParams(0, f))

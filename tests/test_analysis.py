@@ -11,11 +11,8 @@ from scoreseq import (
     bound_e,
     extremal_summary,
     interval_test,
-    max_g,
-    min_f,
 )
 from scoreseq import analysis
-from scoreseq.analysis import f_search_interval
 from scoreseq.core import MAX_MAGNITUDE, ceil_div
 
 import f_reference
@@ -166,7 +163,8 @@ class TestAgainstPaperLoop:
     def test_large_scores_with_a_floor(self, D, data):
         # a >= 1 runs the a-side; b near f puts the b-side on its boundary,
         # and b up to MAX_MAGNITUDE**2 takes b * B_n past 2**64
-        f, g = min_f(D), max_g(D)
+        s = extremal_summary(D)
+        f, g = s.f, s.g
         a = data.draw(st.integers(1, g + 1), label="a")
         near = st.integers(max(a, f - 1), max(a, f + 1))
         b = data.draw(st.one_of(near, st.integers(a, MAX_MAGNITUDE**2)), label="b")
@@ -178,7 +176,7 @@ class TestAgainstPaperLoop:
     def test_large_scores_without_a_floor(self, D, data):
         # a = 0, as on every probe of the f search, so the b-side alone
         # decides; b in {f-1, f, f+1} sits on the boundary it must find
-        f = min_f(D)
+        f = extremal_summary(D).f
         near = st.integers(max(0, f - 1), f + 1)
         b = data.draw(st.one_of(near, st.integers(0, MAX_MAGNITUDE**2)), label="b")
         params = IntervalParams(0, b)
@@ -196,55 +194,77 @@ class TestBoundE:
         assert bound_e(ZEROS_FORTIES) == 8
 
 
+def _window(D):
+    s = extremal_summary(D)
+    return s.f_search_lo, s.f_search_hi
+
+
 class TestFSearchInterval:
     def test_zeros_forties(self):
-        assert f_search_interval(ZEROS_FORTIES) == (8, 16)
+        assert _window(ZEROS_FORTIES) == (8, 16)
 
     def test_six_players(self):
-        assert f_search_interval(SIX) == (9, 14)
+        # the average pair total ceil(131 / 15) = 9 sets the floor
+        assert _window(SIX) == (9, 14)
 
     def test_two_zeros(self):
         D = ScoreSequence((0, 0))
-        assert f_search_interval(D) == (0, 0)
+        assert _window(D) == (0, 0)
+
+    def test_top_row_bound_sets_the_floor(self):
+        # the average pair total is 1, but the top row's 10 points over 4
+        # opponents force an entry of 3, and f's top set {5} reaches it
+        s = extremal_summary(ScoreSequence((0, 0, 0, 0, 10)))
+        assert (s.e, s.f, s.g) == (3, 3, 0)
+        assert (s.f_search_lo, s.f_search_hi) == (3, 6)
+
+    @given(sequences())
+    def test_floor_is_the_larger_of_average_and_top_row_bound(self, D):
+        n, scores = D.n, D.scores
+        e = ceil_div(scores[-1], n - 1)
+        average = ceil_div(sum(scores), n * (n - 1) // 2)
+        s = extremal_summary(D)
+        assert s.e == e
+        assert (s.f_search_lo, s.f_search_hi) == (max(average, e), 2 * e)
 
 
 class TestMinF:
     def test_six_players(self):
-        assert min_f(SIX) == 9
+        assert extremal_summary(SIX).f == 9
 
     def test_zeros_forties(self):
-        assert min_f(ZEROS_FORTIES) == 10
+        assert extremal_summary(ZEROS_FORTIES).f == 10
 
     def test_all_ones(self):
-        assert min_f(ScoreSequence((1, 1, 1))) == 1
+        assert extremal_summary(ScoreSequence((1, 1, 1))).f == 1
 
     @given(sequences())
     def test_is_smallest_feasible_cap(self, D):
-        f = min_f(D)
+        f = extremal_summary(D).f
         assert interval_test(D, IntervalParams(0, f))
         if f > 0:
             assert not interval_test(D, IntervalParams(0, f - 1))
 
     @given(sequences())
     def test_lies_in_search_window(self, D):
-        lo, hi = f_search_interval(D)
-        assert lo <= min_f(D) <= hi
+        s = extremal_summary(D)
+        assert s.f_search_lo <= s.f <= s.f_search_hi
 
 
 class TestMaxG:
     def test_six_players(self):
-        assert max_g(SIX) == 8
+        assert extremal_summary(SIX).g == 8
 
     def test_zeros_forties(self):
-        assert max_g(ZEROS_FORTIES) == 0
+        assert extremal_summary(ZEROS_FORTIES).g == 0
 
     def test_all_ones(self):
-        assert max_g(ScoreSequence((1, 1, 1))) == 1
+        assert extremal_summary(ScoreSequence((1, 1, 1))).g == 1
 
     @given(sequences())
     def test_is_largest_feasible_floor(self, D):
-        f = min_f(D)
-        g = max_g(D)
+        s = extremal_summary(D)
+        f, g = s.f, s.g
         assert 0 <= g <= f
         assert interval_test(D, IntervalParams(g, f))
         assert not interval_test(D, IntervalParams(g + 1, max(f, g + 1)))
@@ -258,26 +278,26 @@ class TestClosedFormCrossChecks:
 
     @given(sequences(max_n=12, max_d=100))
     def test_f_agrees_with_loss_table_and_search(self, D):
-        f = min_f(D)
+        f = extremal_summary(D).f
         assert min_f_by_loss_table(D) == f
         assert min_f_by_search(D) == f
 
     @given(sequences(max_n=12, max_d=100))
     def test_g_search_agrees_with_closed_form(self, D):
-        f = min_f(D)
-        assert max_g_by_search(D, f) == max_g(D)
+        s = extremal_summary(D)
+        assert max_g_by_search(D, s.f) == s.g
 
 
 def _proof_inputs():
     # the drawn inputs take f at the window floor, just past the floor of a
     # narrow window and inside a wide one, so the certificates cover every
-    # kind of window that f_search_interval hands out
+    # kind of window that extremal_summary hands out
     return st.one_of(long_sequences(max_n=400, max_d=10**6), narrow_windows())
 
 
-def _window_kind(D, f):
-    lo, hi = f_search_interval(D)
-    return "floor" if f == lo else "narrow" if hi - lo <= 2 else "wide"
+def _window_kind(s):
+    lo, hi = s.f_search_lo, s.f_search_hi
+    return "floor" if s.f == lo else "narrow" if hi - lo <= 2 else "wide"
 
 
 def test_f_is_proved_on_every_branch():
@@ -287,20 +307,21 @@ def test_f_is_proved_on_every_branch():
     @settings(max_examples=150, deadline=None)
     @given(_proof_inputs())
     def check(D):
-        f = min_f(D)
+        s = extremal_summary(D)
+        f = s.f
         assert interval_test(D, IntervalParams(0, f))
         # the top n - j players score S_n - S_j and take part in B_n - B_j
         # pairs, so no cap below that ceiled average fits them
-        n, s = D.n, D.scores
-        S_n, B_n = sum(s), n * (n - 1) // 2
+        n, scores = D.n, D.scores
+        S_n, B_n = sum(scores), n * (n - 1) // 2
         bounds = [
-            ceil_div(S_n - sum(s[:j]), B_n - j * (j - 1) // 2) for j in range(n)
+            ceil_div(S_n - sum(scores[:j]), B_n - j * (j - 1) // 2) for j in range(n)
         ]
         j_star = max(range(n), key=bounds.__getitem__)
         assert bounds[j_star] == f
         assert min_f_by_search(D) == f
         assert min_f_by_loss_table(D) == f
-        kinds.add(_window_kind(D, f))
+        kinds.add(_window_kind(s))
 
     check()
     assert kinds == {"floor", "narrow", "wide"}
@@ -313,18 +334,19 @@ def test_g_is_proved_on_every_branch():
     @settings(max_examples=150, deadline=None)
     @given(_proof_inputs())
     def check(D):
-        f, g = min_f(D), max_g(D)
+        s = extremal_summary(D)
+        f, g = s.f, s.g
         assert interval_test(D, IntervalParams(g, f))
         if g < f:
             assert not interval_test(D, IntervalParams(g + 1, f))
         # the bottom k players' B_k pairs among themselves score at least
         # a each, out of their own S_k, so no floor above S_k // B_k fits
-        s = D.scores
-        bounds = {k: sum(s[:k]) // (k * (k - 1) // 2) for k in range(2, D.n + 1)}
+        scores = D.scores
+        bounds = {k: sum(scores[:k]) // (k * (k - 1) // 2) for k in range(2, D.n + 1)}
         k_star = min(bounds, key=bounds.__getitem__)
         assert bounds[k_star] == g
         assert max_g_by_search(D, f) == g
-        kinds.add(_window_kind(D, f))
+        kinds.add(_window_kind(s))
 
     check()
     assert kinds == {"floor", "narrow", "wide"}
@@ -341,8 +363,7 @@ def test_f_and_g_make_no_interval_test_probe(monkeypatch):
     for n in range(2, 6):
         for seq in itertools.combinations_with_replacement(range(7), n):
             D = ScoreSequence(seq)
-            s = extremal_summary(D)
-            assert (min_f(D), max_g(D)) == (s.f, s.g), seq
+            extremal_summary(D)
             assert probes == [], seq
 
 
@@ -364,22 +385,6 @@ def test_search_probes_are_pinned(monkeypatch):
     assert probes.hexdigest() == (
         "30cdda0774b5fe10e48a33f6cbabe7a92f47f14825efa23092529cc25b07fda2"
     )
-
-
-def test_summary_computes_the_f_window_once(monkeypatch):
-    calls = []
-    window = analysis.f_search_interval
-
-    def counting(D):
-        calls.append(D)
-        return window(D)
-
-    monkeypatch.setattr(analysis, "f_search_interval", counting)
-    for D in (SIX, ZEROS_FORTIES, ScoreSequence((3, 8)), ScoreSequence((0, 0))):
-        calls.clear()
-        s = extremal_summary(D)
-        assert calls == [D]
-        assert (s.f_search_lo, s.f_search_hi) == window(D)
 
 
 class TestExtremalSummary:
