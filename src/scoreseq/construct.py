@@ -31,6 +31,7 @@ round can re-sort its block.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 
 from .analysis import extremal_summary
@@ -325,6 +326,8 @@ def mini_max(D: ScoreSequence) -> tuple[ExtremalSummary, PointMatrix]:
     if any(x > y for x, y in zip(sums, sums[1:])):
         # mid-build relabeling permuted the players; sort them back so that
         # row i sums to the i-th score
-        order = sorted(range(n), key=lambda i: sums[i])
-        rows = [[rows[oi][oj] for oj in order] for oi in order]
+        order = sorted(range(n), key=sums.__getitem__)
+        # one C-level gather per row; n >= 3 here, so itemgetter gives tuples
+        gather = operator.itemgetter(*order)
+        rows = [gather(rows[oi]) for oi in order]
     return summary, PointMatrix._from_int_rows(rows)

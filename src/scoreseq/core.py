@@ -291,10 +291,13 @@ def normalize_sequence(raw: Sequence[int]) -> tuple[ScoreSequence, tuple[int, ..
     Returns the sorted sequence and a permutation ``perm`` such that
     ``sorted[k] == raw[perm[k]]`` (stable: ties keep their original order).
 
-    Raises InputTooShort, NegativeScore or NotAnInteger for invalid input.
+    Raises InputTooShort, NegativeScore or NotAnInteger for invalid input,
+    and ValueError for a score above ``MAX_MAGNITUDE``.
     """
     raw = _as_ints(raw, "score")
-    order = tuple(sorted(range(len(raw)), key=raw.__getitem__))
+    # keyed on a list copy: list.__getitem__ is a plain builtin method, which
+    # the sort calls faster than the tuple's slot wrapper; the keys are the same
+    order = tuple(sorted(range(len(raw)), key=list(raw).__getitem__))
     # one C-level gather; itemgetter returns a bare value for one index and
     # fails on none, so short input, sorted as it is, goes straight to the check
     scores = operator.itemgetter(*order)(raw) if len(raw) > 1 else raw

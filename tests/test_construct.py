@@ -19,6 +19,7 @@ from scoreseq import (
     pigeonhole_construct,
     verify_realization,
 )
+from scoreseq import construct
 from scoreseq.cli import generate_scores
 from scoreseq.construct import _restore_order, score_slicing
 from scoreseq.core import ceil_div
@@ -539,6 +540,43 @@ class TestMiniMax:
         # deterministic tie-breaking makes the whole table reproducible
         _, M = mini_max(ScoreSequence(SCORES_SIX))
         assert M.entries == TABLE_BALANCED
+
+    def test_closing_relabel_pinned_output(self, monkeypatch):
+        # (0,3,7,8,9,12) is the first sequence, over n <= 6 and scores <= 2n
+        # in lexicographic order, whose build leaves the players out of
+        # order, so mini_max's closing sort must put them back
+        moves, grids = [], []
+
+        def restore_order(*args):
+            moves.append(_restore_order(*args))
+            return moves[-1]
+
+        def slicing(k, p, grid, params):
+            grids.append(grid)
+            score_slicing(k, p, grid, params)
+
+        monkeypatch.setattr(construct, "_restore_order", restore_order)
+        monkeypatch.setattr(construct, "score_slicing", slicing)
+        scores = (0, 3, 7, 8, 9, 12)
+        _, M = mini_max(ScoreSequence(scores))
+        assert M.entries == (
+            (0, 0, 0, 0, 0, 0),
+            (2, 0, 0, 1, 0, 0),
+            (2, 2, 0, 1, 2, 0),
+            (2, 1, 1, 0, 3, 1),
+            (3, 3, 1, 0, 0, 2),
+            (3, 3, 3, 2, 1, 0),
+        )
+        assert True in moves
+        # the build as it stood before the closing sort: rows out of order,
+        # and the witness is that build with the players stably re-sorted
+        build = [row[1:] for row in grids[-1][1:]]
+        sums = [sum(row) for row in build]
+        assert sums != sorted(sums)
+        order = sorted(range(len(scores)), key=sums.__getitem__)
+        assert M.entries == tuple(
+            tuple(build[i][j] for j in order) for i in order
+        )
 
     def test_two_players(self):
         summary, M = mini_max(ScoreSequence((2, 2)))

@@ -84,6 +84,17 @@ class TestNormalizeSequence:
         assert D.scores == (3, 7) and type(D.scores) is tuple
         assert perm == (1, 0) and type(perm) is tuple
 
+    def test_takes_no_alias_of_its_input(self):
+        raw = [5, 1, 5, 0, 3, 1]
+        D, perm = normalize_sequence(raw)
+        assert raw == [5, 1, 5, 0, 3, 1]
+        raw.sort()
+        raw[0] = 99
+        raw.append(7)
+        assert D.scores == (0, 1, 1, 3, 5, 5)
+        assert perm == (3, 1, 5, 4, 0, 2)
+
+    @pytest.mark.parametrize("make", [list, tuple, lambda xs: (x for x in xs)])
     @settings(max_examples=30, deadline=None)
     @given(
         st.integers(2, 3000),
@@ -91,19 +102,26 @@ class TestNormalizeSequence:
         st.sampled_from([0, 7, 1]),
         st.randoms(use_true_random=False),
     )
-    def test_large_inputs_sort_stably(self, n, distinct, wrap_every, rnd):
-        # n in the benchmark's range, with heavy ties and some _Index entries
+    def test_large_inputs_sort_stably(self, make, n, distinct, wrap_every, rnd):
+        # n in the benchmark's range, with heavy ties and some _Index entries;
+        # a list, a tuple and a generator of the same scores sort alike
         values = [rnd.randrange(distinct) for _ in range(n)]
         raw = [
             _Index(v) if wrap_every and i % wrap_every == 0 else v
             for i, v in enumerate(values)
         ]
-        D, perm = normalize_sequence(raw)
+        D, perm = normalize_sequence(make(raw))
         assert D.scores == tuple(sorted(values))
         assert perm == tuple(sorted(range(n), key=lambda i: (values[i], i)))
         assert type(D.scores) is tuple and type(perm) is tuple
         assert all(type(s) is int for s in D.scores)
         assert all(type(i) is int for i in perm)
+
+    @pytest.mark.parametrize(
+        "scores", [range(3000), range(2999, -1, -1), range(5, 3005, 3)]
+    )
+    def test_range_input_sorts_like_its_list(self, scores):
+        assert normalize_sequence(scores) == normalize_sequence(list(scores))
 
     @given(score_lists)
     def test_idempotent(self, raw):
