@@ -14,7 +14,6 @@ from scoreseq import (
     enumerate_extremes,
     extremal_summary,
     interval_test,
-    landau_test,
     moon_test,
     sweep,
 )
@@ -32,7 +31,7 @@ print()
 print("classical special cases as diagonal windows:")
 for scores, c in [((1, 1, 1), 1), ((0, 1, 2), 1), ((2, 2, 2), 2), ((0, 1, 5), 2)]:
     S = ScoreSequence(scores)
-    classic = landau_test(S) if c == 1 else moon_test(S, c)
+    classic = moon_test(S, c)  # Landau's theorem at c = 1, Moon's beyond
     general = interval_test(S, IntervalParams(c, c))
     print(f"  {scores} at {c} point(s) per match: classic={classic} general={general}")
 print()

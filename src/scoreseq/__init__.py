@@ -21,8 +21,7 @@ _EXPORTS = {
     "MatrixStats NegativeScore NotAnInteger OracleBudgetExceeded PointMatrix "
     "RealizationReport ScoreSequence ShapeMismatch TournamentError "
     "matrix_stats normalize_sequence verify_realization",
-    "oracle": "OracleResult SweepReport enumerate_extremes landau_test "
-    "moon_test sweep",
+    "oracle": "OracleResult SweepReport enumerate_extremes moon_test sweep",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -156,15 +156,14 @@ def _cmd_test(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_reconstruct(args: argparse.Namespace) -> Outcome:
-    from .construct import _cycle_matrix, mini_max, pigeonhole_construct
+    from .construct import mini_max, naive_construct, pigeonhole_construct
 
     raw = _load_scores(args)
     D, perm = normalize_sequence(raw)
     payload = {}
     if args.method == "naive":
-        M = _cycle_matrix(raw)  # normalize_sequence has checked the scores
-        # with two players both cycle arcs fall on the one pair
-        default_a, default_b = 0, sum(raw) if len(raw) == 2 else max(raw)
+        M = naive_construct(raw)
+        default_a, default_b = 0, matrix_stats(M).max_pair_total
     elif args.method == "pigeonhole":
         M = pigeonhole_construct(D)
         default_a, default_b = 0, 2 * bound_e(D)
@@ -225,8 +224,6 @@ def _oracle_budget(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"{BUDGET_ENV_VAR}={env!r} is not an integer"
             ) from None
-    if budget < 0:
-        raise ValueError(f"oracle budget {budget} must be nonnegative")
     return budget
 
 

@@ -1,6 +1,7 @@
 """Witness constructors: naive, evenly spread, and minimax-balanced.
 
-``naive_construct`` realizes any nonnegative vector along a single cycle.
+``naive_construct``, which ``reconstruct --method naive`` runs, realizes
+any nonnegative vector along a single cycle, in the input's order.
 ``pigeonhole_construct`` spreads each row as evenly as possible, attaining
 the smallest possible largest entry.  ``mini_max`` builds a realization
 whose pair totals all lie in [g, f], the provably best window: it settles
@@ -55,16 +56,11 @@ def naive_construct(raw: Sequence[int]) -> PointMatrix:
     """
     raw = _as_ints(raw, "score")
     _validate_scores(raw)
-    return _cycle_matrix(raw)
-
-
-def _cycle_matrix(scores: Sequence[int]) -> PointMatrix:
-    """``naive_construct`` for scores the caller has already validated."""
-    n = len(scores)
+    n = len(raw)
     grid = [[0] * n for _ in range(n)]
-    grid[n - 1][0] = scores[n - 1]
+    grid[n - 1][0] = raw[n - 1]
     for i in range(n - 1):
-        grid[i][i + 1] = scores[i]
+        grid[i][i + 1] = raw[i]
     return PointMatrix._from_int_rows(grid)
 
 

@@ -54,13 +54,12 @@ state, the pair cap and a_floor alone, so one memo keyed by (pair cap, pair
 index, remaining scores) serves every sequence of a sweep, all at a_floor
 0, and the budget counts the states it holds.
 
-``landau_test`` and ``moon_test`` are the classical characterizations of
-score sequences of ordinary (one point per match) and c-point-per-match
-round robins; the general interval test must agree with them on the
-diagonal windows (1,1) and (c,c).  A sweep builds those windows once, and
-since ``landau_test`` is ``moon_test`` at c = 1, one probe of (1,1) and one
-``moon_test(D, 1)`` answer serve both checks, which still count as two
-comparisons.
+``moon_test`` is Moon's classical characterization of score sequences of
+c-point-per-match round robins, and at c = 1 it is Landau's theorem for
+ordinary (one point per match) tournaments; the general interval test must
+agree with it on the diagonal windows (c,c).  A sweep builds those windows
+once, and one probe of (1,1) and one ``moon_test(D, 1)`` answer both the
+Landau and the c = 1 Moon check, which still count as two comparisons.
 """
 
 from __future__ import annotations
@@ -139,10 +138,13 @@ def enumerate_extremes(
     Raises OracleBudgetExceeded before any search when D has more than six
     players or the state estimate exceeds the budget, and during the search
     once the memo holds more than ``budget`` states.  A bool or non-integer
-    pair_cap, a_floor or budget raises NotAnInteger.
+    pair_cap, a_floor or budget raises NotAnInteger; a negative budget raises
+    ValueError before any other check.
     """
     pair_cap, a_floor = _as_int(pair_cap, "pair_cap"), _as_int(a_floor, "a_floor")
     budget = _as_int(budget, "budget")
+    if budget < 0:
+        raise ValueError(f"oracle budget {budget} must be nonnegative")
     n = D.n
     if pair_cap < 0:
         raise ValueError(f"pair_cap {pair_cap} must be nonnegative")
@@ -268,13 +270,9 @@ def _reach(points: list[tuple[int, int, int]], cap: int) -> list[int]:
     return list(itertools.accumulate(best, max))
 
 
-def landau_test(D: ScoreSequence) -> bool:
-    """Classical one-point round robin check: S_n = B_n and S_k >= B_k."""
-    return moon_test(D, 1)
-
-
 def moon_test(D: ScoreSequence, c: int) -> bool:
-    """c-points-per-match round robin check: S_n = c*B_n and S_k >= c*B_k."""
+    """Moon's c-points-per-match round robin check, Landau's one-point check
+    at c = 1: S_n = c*B_n and S_k >= c*B_k."""
     if type(c) is not int:
         c = _as_int(c, "c")
     if c < 1:
@@ -323,8 +321,8 @@ def sweep(
       sequence's reach list per window; the windows are the first
       (2h + 2)(2h + 3)/2 rows of a table shared by all sequences, ordered
       by b then a and grown on demand;
-    * interval_test on the diagonal windows against landau_test/moon_test,
-      with (1, 1) probed once for both.
+    * interval_test on the diagonal windows against moon_test, with (1, 1)
+      probed once for both Landau's check (moon_test at c = 1) and Moon's.
 
     The budget counts the frontier states created over the whole call;
     there is no per-sequence state estimate.  The window and diagonal
@@ -332,13 +330,16 @@ def sweep(
     half a minute of work, within a budget of 5,151 states, one for each of
     its sequences.  A d_max beyond MAX_MAGNITUDE raises ScoreSequence's
     ValueError up front, so no sequence is re-checked.
-    ``moon_c_max = 0`` skips the c-point checks; a negative value is an error.
+    ``moon_c_max = 0`` skips the c-point checks; a negative value is an error,
+    and so is a negative budget, which is checked first.
     A bool or non-integer argument raises NotAnInteger.
     An n_max beyond six players raises OracleBudgetExceeded before any search.
     Returns a report whose ``mismatches`` must be empty.
     """
     n_max, d_max = _as_int(n_max, "n_max"), _as_int(d_max, "d_max")
     moon_c_max, budget = _as_int(moon_c_max, "moon_c_max"), _as_int(budget, "budget")
+    if budget < 0:
+        raise ValueError(f"oracle budget {budget} must be nonnegative")
     if n_max < 2 or d_max < 0:
         raise ValueError(f"need n_max >= 2 and d_max >= 0, got {n_max}, {d_max}")
     if moon_c_max < 0:
@@ -395,11 +396,14 @@ def sweep(
 
             comparisons += 1 + moon_c_max
             for c, params in enumerate(diagonals, 1):
-                # landau_test is moon_test at c = 1, so (1, 1) answers both
+                # Landau's check is moon_test at c = 1, so (1, 1) answers both
                 if moon_test(D, c) == interval_test(D, params):
                     continue
                 if c == 1:
-                    mismatches.append(f"{seq}: landau_test disagrees with window (1,1)")
+                    mismatches.append(
+                        f"{seq}: Landau (moon_test at c = 1) disagrees "
+                        "with window (1,1)"
+                    )
                 if c <= moon_c_max:
                     mismatches.append(
                         f"{seq}: moon_test({c}) disagrees with window ({c},{c})"

@@ -19,7 +19,6 @@ from scoreseq import (
     enumerate_extremes,
     extremal_summary,
     interval_test,
-    landau_test,
     matrix_stats,
     mini_max,
     moon_test,
@@ -134,7 +133,8 @@ def test_criterion_5_classical_reductions():
         for seq in itertools.combinations_with_replacement(range(7), n):
             D = ScoreSequence(seq)
             checked += 1
-            if landau_test(D) != interval_test(D, IntervalParams(1, 1)):
+            # Landau's one-point check is Moon's at c = 1
+            if moon_test(D, 1) != interval_test(D, IntervalParams(1, 1)):
                 mismatches += 1
     for n in range(2, 6):
         for seq in itertools.combinations_with_replacement(range(9), n):

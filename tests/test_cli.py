@@ -1,9 +1,13 @@
+import contextlib
+import io
 import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scoreseq import construct, core, oracle
+from scoreseq import matrix_stats, naive_construct, oracle
 from scoreseq.cli import run
 
 from golden import SCORES_SIX, TABLE_WIDE
@@ -132,23 +136,22 @@ class TestReconstruct:
         assert code == 1
         assert out
 
-    def test_naive_checks_the_scores_once(self, capsys, monkeypatch):
-        calls = []
-        validate = core._validate_scores
-
-        def counting(scores, *flags, **named):
-            calls.append(scores)
-            return validate(scores, *flags, **named)
-
-        # construct imports the name, so patch its binding as well
-        monkeypatch.setattr(core, "_validate_scores", counting)
-        monkeypatch.setattr(construct, "_validate_scores", counting)
-        code, payload, _ = invoke_json(
-            capsys, "reconstruct", "--scores", "3,1,2", "--method", "naive"
-        )
+    @given(st.lists(st.integers(0, 10**6), min_size=2, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_naive_is_the_library_cycle_in_its_own_window(self, raw):
+        # unsorted input: the witness is naive_construct's, in input order,
+        # and the default window [0, F] holds it
+        out = io.StringIO()
+        argv = ["reconstruct", "--method", "naive", "--scores", ",".join(map(str, raw))]
+        with contextlib.redirect_stdout(out):
+            code = run(argv)
+        payload = json.loads(out.getvalue())
+        M = naive_construct(raw)
+        stats = matrix_stats(M)
         assert code == 0
-        assert payload["matrix"] == [[0, 3, 0], [0, 0, 1], [2, 0, 0]]
-        assert len(calls) == 1
+        assert payload["matrix"] == [list(row) for row in M.entries]
+        assert [payload["a"], payload["b"]] == [0, stats.max_pair_total]
+        assert payload["report"]["valid"] is True
 
     def test_minimax_reports_extremes(self, capsys):
         code, payload, _ = invoke_json(

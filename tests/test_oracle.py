@@ -13,7 +13,6 @@ from scoreseq import (
     bound_e,
     enumerate_extremes,
     interval_test,
-    landau_test,
     moon_test,
     sweep,
     verify_realization,
@@ -67,6 +66,19 @@ class TestEnumerateExtremes:
             enumerate_extremes(D, pair_cap=2, budget=8)
         assert enumerate_extremes(D, pair_cap=2, budget=9).count == 8
 
+    @pytest.mark.parametrize("pair_cap, a_floor", [(2, 0), (-1, 0), (1, 2)])
+    def test_negative_budget_is_refused_first(self, monkeypatch, pair_cap, a_floor):
+        # the budget is checked before the window, the player count and the
+        # state estimate (8 for 1,1,1 at cap 2), and no search starts
+        def refused(*args, **kwargs):
+            raise AssertionError("enumerate_extremes searched")
+
+        monkeypatch.setattr(oracle, "_frontier", refused)
+        with pytest.raises(ValueError, match="^oracle budget -1 must be nonnegative$"):
+            enumerate_extremes(THREE_ONES, pair_cap, a_floor, budget=-1)
+        with pytest.raises(ValueError, match="^oracle budget -1 must be nonnegative$"):
+            enumerate_extremes(ScoreSequence((0,) * 7), pair_cap, a_floor, budget=-1)
+
     def test_six_player_count_beyond_a_walk(self):
         # independent count: the cap never binds, so row i splits d_i points
         # over 5 opponents in C(d_i + 4, 4) ways; a walk one realization at a
@@ -98,14 +110,15 @@ class TestEnumerateExtremes:
 
 
 class TestClassicalChecks:
+    # Landau's theorem is Moon's at one point per match
     def test_landau_accepts_cyclic_triangle(self):
-        assert landau_test(ScoreSequence((1, 1, 1)))
+        assert moon_test(ScoreSequence((1, 1, 1)), 1)
 
     def test_landau_accepts_transitive_triangle(self):
-        assert landau_test(ScoreSequence((0, 1, 2)))
+        assert moon_test(ScoreSequence((0, 1, 2)), 1)
 
     def test_landau_rejects_starved_prefix(self):
-        assert not landau_test(ScoreSequence((0, 0, 3)))
+        assert not moon_test(ScoreSequence((0, 0, 3)), 1)
 
     def test_moon_accepts_doubled_round_robin(self):
         assert moon_test(ScoreSequence((2, 2, 2)), 2)
@@ -119,10 +132,6 @@ class TestClassicalChecks:
     def test_moon_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
             moon_test(ScoreSequence((1, 1, 1)), 0)
-
-    @given(tiny_sequences(max_n=6, max_d=6))
-    def test_landau_is_moon_at_one(self, D):
-        assert landau_test(D) == moon_test(D, 1)
 
     @given(tiny_sequences(max_n=6, max_d=8), st.integers(1, 3))
     def test_moon_matches_diagonal_window(self, D, c):
@@ -183,7 +192,7 @@ class TestSweep:
     @pytest.mark.parametrize("n_max, d_max", [(3, 2), (2, 3)])
     def test_windows_in_table_order(self, monkeypatch, n_max, d_max):
         # every 0 <= a <= b <= 2h+1 in b-then-a order, then the diagonals,
-        # (1, 1) once for both landau_test and moon_test(1)
+        # (1, 1) once for both Landau's check and moon_test(1)
         seen = {}
         fast = oracle.interval_test
 
@@ -234,6 +243,21 @@ class TestSweep:
     def test_negative_moon_c_max_is_rejected(self):
         with pytest.raises(ValueError, match="moon_c_max -1 must be nonnegative"):
             sweep(3, 2, moon_c_max=-1)
+
+    @pytest.mark.parametrize(
+        "n_max, d_max, moon_c_max", [(2, 1, 3), (1, -1, 3), (3, 2, -1), (7, 0, 3)]
+    )
+    def test_negative_budget_is_refused_first(
+        self, monkeypatch, n_max, d_max, moon_c_max
+    ):
+        # the budget is checked before the grid, moon_c_max and the player
+        # count, and no sequence is walked
+        def refused(*args, **kwargs):
+            raise AssertionError("sweep walked a sequence")
+
+        monkeypatch.setattr(oracle, "_frontier", refused)
+        with pytest.raises(ValueError, match="^oracle budget -1 must be nonnegative$"):
+            sweep(n_max, d_max, moon_c_max, budget=-1)
 
 
 THREE_ONES = ScoreSequence((1, 1, 1))
