@@ -7,7 +7,7 @@ pins every pair total inside the provably best window [g, f].
 
 from scoreseq import (
     ScoreSequence,
-    bound_e,
+    extremal_summary,
     matrix_stats,
     mini_max,
     naive_construct,
@@ -16,7 +16,7 @@ from scoreseq import (
 
 D = ScoreSequence((0, 0, 0, 40, 40, 40))
 print(f"scores: {list(D.scores)}")
-print(f"pigeonhole bound on the largest entry: h = {bound_e(D)}")
+print(f"pigeonhole bound on the largest entry: h = {extremal_summary(D).e}")
 print()
 
 

@@ -15,12 +15,11 @@ __version__ = "0.1.0"
 
 _SUBMODULES = ("core", "analysis", "construct", "oracle")
 _EXPORTS = {
-    "analysis": "bound_e extremal_summary interval_test",
+    "analysis": "extremal_summary interval_test",
     "construct": "mini_max naive_construct pigeonhole_construct",
-    "core": "ExtremalSummary InfeasiblePrefix InputTooShort IntervalParams "
-    "MatrixStats NegativeScore NotAnInteger OracleBudgetExceeded PointMatrix "
-    "RealizationReport ScoreSequence ShapeMismatch TournamentError "
-    "matrix_stats normalize_sequence verify_realization",
+    "core": "ExtremalSummary InputTooShort IntervalParams MatrixStats NegativeScore "
+    "NotAnInteger OracleBudgetExceeded PointMatrix RealizationReport ScoreSequence "
+    "ShapeMismatch TournamentError matrix_stats normalize_sequence verify_realization",
     "oracle": "OracleResult SweepReport enumerate_extremes moon_test sweep",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

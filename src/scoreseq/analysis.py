@@ -17,7 +17,8 @@ only ``a`` and the right ones only ``b``.  That makes the largest feasible
 smallest feasible ``b`` (called f) a closed-form maximum of ceiled top-set
 averages, max over 0 <= j < n of ceil((S_n - S_j) / (B_n - B_j)).  The
 smallest achievable single entry e is the pigeonhole bound of the top
-score.  ``extremal_summary`` takes e, f, g and a window that holds f in one
+score, ceil(d_n / (n - 1)), which an evenly spread construction attains.
+``extremal_summary`` takes e, f, g and a window that holds f in one
 forward pass over the prefix sums, and makes no test.  All arithmetic is
 exact; no floating point is used anywhere.
 """
@@ -53,19 +54,10 @@ def interval_test(D: ScoreSequence, params: IntervalParams) -> bool:
     return True
 
 
-def bound_e(D: ScoreSequence) -> int:
-    """Smallest achievable largest single entry: ceil(d_n / (n - 1)).
-
-    The top player's d_n points spread over n-1 opponents force at least
-    this much somewhere, and distributing every row as evenly as possible
-    attains it.
-    """
-    return ceil_div(D.scores[-1], D.n - 1)
-
-
 def extremal_summary(D: ScoreSequence) -> ExtremalSummary:
     """e, f, g and the window [lo, hi] that holds f, in one forward pass.
 
+    e = ceil(d_n / (n - 1)): the top row's d_n points go to n - 1 opponents.
     f is the largest ceil((S_n - S_j) / (B_n - B_j)) over 0 <= j < n, taken
     as minus the smallest floor of (S_j - S_n) / (B_n - B_j); g is the
     smallest floor(S_k / B_k) over 2 <= k <= n.  The terms j = 0 and k = n
@@ -73,12 +65,12 @@ def extremal_summary(D: ScoreSequence) -> ExtremalSummary:
     S_j, so it never wins.  The loop takes j = k = 2 .. n - 1.
 
     The window's floor is the larger of f's j = 0 term, the average pair
-    total ceil(S_n / B_n), and e = bound_e(D); its ceiling 2e is attained by
-    the evenly spread construction.
+    total ceil(S_n / B_n), and e; its ceiling 2e is attained by the evenly
+    spread construction.
     """
     s = D.scores
     n = len(s)
-    e = bound_e(D)
+    e = ceil_div(s[-1], n - 1)
     S_n = sum(s)
     B_n = n * (n - 1) // 2
     minus_f = -S_n // B_n

@@ -31,7 +31,7 @@ import sys
 from collections.abc import Callable, Sequence
 
 # construct and oracle load only in the commands that use them
-from .analysis import bound_e, extremal_summary, interval_test
+from .analysis import extremal_summary, interval_test
 from .core import (
     IntervalParams,
     OracleBudgetExceeded,
@@ -166,7 +166,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> Outcome:
         default_a, default_b = 0, matrix_stats(M).max_pair_total
     elif args.method == "pigeonhole":
         M = pigeonhole_construct(D)
-        default_a, default_b = 0, 2 * bound_e(D)
+        default_a, default_b = 0, 2 * extremal_summary(D).e
     else:
         summary, M = mini_max(D)
         payload = {"e": summary.e, "f": summary.f, "g": summary.g}
@@ -231,7 +231,7 @@ def _cmd_oracle(args: argparse.Namespace) -> Outcome:
     from .oracle import enumerate_extremes
 
     D, _ = normalize_sequence(_load_scores(args))
-    pair_cap = args.pair_cap if args.pair_cap is not None else 2 * bound_e(D)
+    pair_cap = args.pair_cap if args.pair_cap is not None else 2 * extremal_summary(D).e
     result = enumerate_extremes(
         D,
         pair_cap=pair_cap,
@@ -307,7 +307,7 @@ def _cmd_bench(args: argparse.Namespace) -> Outcome:
             D = generate_scores(n, d_max, args.seed)
             if name == "interval-test":
                 # the always-feasible window forces a full O(n) pass
-                params = IntervalParams(0, 2 * bound_e(D))
+                params = IntervalParams(0, 2 * extremal_summary(D).e)
                 fn = lambda: interval_test(D, params)
             elif name == "min-f":
                 # f comes from the one pass that also takes e and g

@@ -15,7 +15,6 @@ import time
 from scoreseq import (
     IntervalParams,
     ScoreSequence,
-    bound_e,
     enumerate_extremes,
     extremal_summary,
     interval_test,
@@ -28,6 +27,7 @@ from scoreseq import (
     verify_realization,
 )
 from scoreseq.cli import _best_time, generate_scores
+from scoreseq.core import ceil_div
 
 from f_reference import max_g_by_search, min_f_by_loss_table, min_f_by_search
 from golden import SCORES_SIX, TABLE_BALANCED, TABLE_UNBALANCED, TABLE_WIDE
@@ -158,7 +158,7 @@ def test_criterion_6_constructor_properties():
         n = rng.randint(2, 12)
         top = rng.randint(0, 30)
         D = ScoreSequence(tuple(sorted(rng.randint(0, top) for _ in range(n))))
-        h = bound_e(D)
+        h = ceil_div(D.scores[-1], D.n - 1)
 
         if naive_construct(D.scores).row_sums() != D.scores:
             violations += 1
@@ -186,8 +186,8 @@ def test_criterion_7_complexity_trends():
 
     small = generate_scores(100_000, 200_000, seed)
     large = generate_scores(1_000_000, 2_000_000, seed)
-    window_small = IntervalParams(0, 2 * bound_e(small))
-    window_large = IntervalParams(0, 2 * bound_e(large))
+    window_small = IntervalParams(0, 2 * ceil_div(small.scores[-1], small.n - 1))
+    window_large = IntervalParams(0, 2 * ceil_div(large.scores[-1], large.n - 1))
     t_small = _best_time(lambda: interval_test(small, window_small), repeats=3)
     t_large = _best_time(lambda: interval_test(large, window_large), repeats=3)
     ratio_linear = t_large / t_small

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scoreseq import (
     IntervalParams,
     ScoreSequence,
-    bound_e,
     extremal_summary,
     interval_test,
 )
@@ -114,7 +113,7 @@ class TestLossTable:
     def test_running_max_form(self, D, a):
         # every cap from a to one past the evenly-spread bound, so the caps
         # where the loss term decides are always among them
-        for b in range(a, max(a, 2 * bound_e(D)) + 2):
+        for b in range(a, max(a, 2 * ceil_div(D.scores[-1], D.n - 1)) + 2):
             expected = _interval_test_written_out(D, a, b)
             assert interval_test(D, IntervalParams(a, b)) == expected, b
 
@@ -143,7 +142,7 @@ class TestIntervalTest:
 
     @given(sequences())
     def test_evenly_spread_window_is_always_feasible(self, D):
-        assert interval_test(D, IntervalParams(0, 2 * bound_e(D)))
+        assert interval_test(D, IntervalParams(0, 2 * ceil_div(D.scores[-1], D.n - 1)))
 
 
 class TestAgainstPaperLoop:
@@ -185,13 +184,13 @@ class TestAgainstPaperLoop:
 
 class TestBoundE:
     def test_six_players(self):
-        assert bound_e(SIX) == 7
+        assert extremal_summary(SIX).e == 7
 
     def test_zeros(self):
-        assert bound_e(ScoreSequence((0, 0, 0))) == 0
+        assert extremal_summary(ScoreSequence((0, 0, 0))).e == 0
 
     def test_zeros_forties(self):
-        assert bound_e(ZEROS_FORTIES) == 8
+        assert extremal_summary(ZEROS_FORTIES).e == 8
 
 
 def _window(D):

@@ -61,6 +61,13 @@ class TestBounds:
         assert payload["f"] == 9
 
 
+    def test_empty_score_list_is_input_error(self, capsys):
+        code, out, err = invoke(capsys, "bounds", "--scores", ",")
+        assert code == 2
+        assert out == ""
+        assert "no scores given" in err
+
+
 class TestTest:
     def test_infeasible_window_exits_one(self, capsys):
         code, payload, _ = invoke_json(
@@ -306,6 +313,27 @@ class TestSweep:
         assert code == 3
         assert out == ""
         assert "7 players is beyond exhaustive reach" in err
+
+    def test_env_budget_that_is_no_integer_is_input_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("SCORESEQ_ORACLE_BUDGET", "x")
+        code, out, err = invoke(capsys, "sweep", "--n-max", "2", "--d-max", "1")
+        assert code == 2
+        assert out == ""
+        assert "SCORESEQ_ORACLE_BUDGET='x' is not an integer" in err
+
+    def test_mismatches_exit_one_and_are_listed(self, capsys, monkeypatch):
+        fast = oracle.moon_test
+        monkeypatch.setattr(oracle, "moon_test", lambda D, c: not fast(D, c))
+        code, out, _ = invoke(
+            capsys, "sweep", "--n-max", "2", "--d-max", "0", "--moon-c-max", "1",
+            "--format", "table",
+        )
+        assert code == 1
+        assert out.splitlines() == [
+            "sequences=1 comparisons=9 mismatches=2",
+            "  (0, 0): Landau (moon_test at c = 1) disagrees with window (1,1)",
+            "  (0, 0): moon_test(1) disagrees with window (1,1)",
+        ]
 
     def test_csv_format_is_not_offered(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -7,11 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scoreseq import (
-    InfeasiblePrefix,
     IntervalParams,
     PointMatrix,
     ScoreSequence,
-    bound_e,
     extremal_summary,
     matrix_stats,
     mini_max,
@@ -22,7 +20,7 @@ from scoreseq import (
 from scoreseq import construct
 from scoreseq.cli import generate_scores
 from scoreseq.construct import _restore_order, score_slicing
-from scoreseq.core import ceil_div
+from scoreseq.core import InfeasiblePrefix, ceil_div
 
 from golden import SCORES_SIX, TABLE_BALANCED
 
@@ -75,7 +73,7 @@ class TestPigeonholeConstruct:
     @given(sequences)
     def test_row_sums_entry_cap_and_pair_cap(self, D):
         M = pigeonhole_construct(D)
-        h = bound_e(D)
+        h = ceil_div(D.scores[-1], D.n - 1)
         assert M.row_sums() == D.scores
         assert max(max(row) for row in M.entries) <= h
         stats = matrix_stats(M)
@@ -291,6 +289,33 @@ class TestSlicingMatchesRounds:
         score_slicing(k, p, grid, params)
         assert p == p_ref
         assert grid == grid_ref
+
+    @pytest.mark.parametrize(
+        "scores",
+        [
+            # settling capped members cuts the room to the slack at the
+            # highest member left in the block; without that cut the build
+            # later keeps a surplus point that no forfeit can shed
+            (1, 1, 2, 10, 18, 23, 49),
+            # ... and to the slack at each capped member as it settles
+            (2, 4, 5, 6, 25, 33, 41, 47, 73),
+        ],
+    )
+    def test_capped_members_cut_the_room(self, scores):
+        D = ScoreSequence(scores)
+        summary = extremal_summary(D)
+        params = IntervalParams(summary.g, summary.f)
+        n, p, grid = _primed_state(scores, summary.f)
+        p_ref, grid_ref = p[:], [row[:] for row in grid]
+        for k in range(n, 2, -1):
+            _reference_slicing(k, p_ref, grid_ref, params)
+            score_slicing(k, p, grid, params)
+            assert p == p_ref, k
+            assert grid == grid_ref, k
+        _, M = mini_max(D)
+        assert verify_realization(M, D, params).valid
+        stats = matrix_stats(M)
+        assert (stats.min_pair_total, stats.max_pair_total) == (summary.g, summary.f)
 
 
 def _minmax_score_slicing(

@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scoreseq import (
+    ExtremalSummary,
     IntervalParams,
     NotAnInteger,
     OracleBudgetExceeded,
     ScoreSequence,
     SweepReport,
-    bound_e,
     enumerate_extremes,
     interval_test,
     moon_test,
@@ -18,7 +18,7 @@ from scoreseq import (
     verify_realization,
 )
 from scoreseq import oracle
-from scoreseq.core import MAX_MAGNITUDE
+from scoreseq.core import MAX_MAGNITUDE, ceil_div
 
 from dfs_reference import walk_extremes
 from golden import SCORES_SIX
@@ -205,7 +205,7 @@ class TestSweep:
         expected = {}
         for n in range(2, n_max + 1):
             for seq in itertools.combinations_with_replacement(range(d_max + 1), n):
-                cap = 2 * bound_e(ScoreSequence(seq)) + 1
+                cap = 2 * ceil_div(seq[-1], n - 1) + 1
                 windows = [(a, b) for b in range(cap + 1) for a in range(b + 1)]
                 expected[seq] = windows + [(1, 1), (2, 2), (3, 3)]
         assert seen == expected
@@ -258,6 +258,69 @@ class TestSweep:
         monkeypatch.setattr(oracle, "_frontier", refused)
         with pytest.raises(ValueError, match="^oracle budget -1 must be nonnegative$"):
             sweep(n_max, d_max, moon_c_max, budget=-1)
+
+
+class TestSweepMismatches:
+    """Each check of sweep names the sequence and the check that disagrees."""
+
+    def test_empty_frontier_is_reported_and_skipped(self, monkeypatch):
+        # nothing under the cap 2h, so no other check runs on the sequence
+        monkeypatch.setattr(oracle, "_frontier", lambda *args: (0, []))
+        assert sweep(2, 1).mismatches == (
+            "(0, 0): no realization under the evenly-spread cap 0",
+            "(0, 1): no realization under the evenly-spread cap 2",
+            "(1, 1): no realization under the evenly-spread cap 2",
+        )
+
+    def test_extremes_against_a_wrong_summary(self, monkeypatch):
+        # the raised e also raises the cap, which leaves the frontier exact
+        fast = oracle.extremal_summary
+
+        def off_by_one(D):
+            s = fast(D)
+            return ExtremalSummary(
+                s.e + 1, s.f + 1, s.g + 1, s.f_search_lo, s.f_search_hi + 2
+            )
+
+        monkeypatch.setattr(oracle, "extremal_summary", off_by_one)
+        assert sweep(2, 1).mismatches == (
+            "(0, 0): exhaustive min F 0 != f 1",
+            "(0, 0): exhaustive max G 0 != g 1",
+            "(0, 0): exhaustive min E 0 != e 1",
+            "(0, 1): exhaustive min F 1 != f 2",
+            "(0, 1): exhaustive max G 1 != g 2",
+            "(0, 1): exhaustive min E 1 != e 2",
+            "(1, 1): exhaustive min F 2 != f 3",
+            "(1, 1): exhaustive max G 2 != g 3",
+            "(1, 1): exhaustive min E 1 != e 2",
+        )
+
+    def test_windows_and_diagonals_against_a_wrong_interval_test(self, monkeypatch):
+        fast = oracle.interval_test
+        monkeypatch.setattr(oracle, "interval_test", lambda D, p: not fast(D, p))
+        assert sweep(2, 0, moon_c_max=2).mismatches == (
+            "(0, 0): window (0,0) exhaustive True != interval_test False",
+            "(0, 0): window (0,1) exhaustive True != interval_test False",
+            "(0, 0): window (1,1) exhaustive False != interval_test True",
+            "(0, 0): Landau (moon_test at c = 1) disagrees with window (1,1)",
+            "(0, 0): moon_test(1) disagrees with window (1,1)",
+            "(0, 0): moon_test(2) disagrees with window (2,2)",
+        )
+
+    @pytest.mark.parametrize("moon_c_max, moon_lines", [(0, 0), (1, 1), (2, 2)])
+    def test_diagonals_against_a_wrong_moon_test(
+        self, monkeypatch, moon_c_max, moon_lines
+    ):
+        # (1, 1) is always probed for Landau; Moon's lines stop at moon_c_max
+        fast = oracle.moon_test
+        monkeypatch.setattr(oracle, "moon_test", lambda D, c: not fast(D, c))
+        report = sweep(2, 0, moon_c_max=moon_c_max)
+        assert report.mismatches == (
+            "(0, 0): Landau (moon_test at c = 1) disagrees with window (1,1)",
+            "(0, 0): moon_test(1) disagrees with window (1,1)",
+            "(0, 0): moon_test(2) disagrees with window (2,2)",
+        )[: 1 + moon_lines]
+        assert not report.clean
 
 
 THREE_ONES = ScoreSequence((1, 1, 1))
@@ -331,7 +394,7 @@ class TestFrontier:
         for n in range(2, 5):
             for seq in itertools.combinations_with_replacement(range(4), n):
                 D = ScoreSequence(seq)
-                cap = 2 * bound_e(D) + 1
+                cap = 2 * ceil_div(D.scores[-1], D.n - 1) + 1
                 count, points = oracle._frontier(D, cap, memo, oracle.DEFAULT_BUDGET)
                 full = walk_extremes(D, cap)
                 assert count == full.count, seq

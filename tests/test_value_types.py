@@ -170,6 +170,20 @@ class TestPointMatrixWithCachedStats:
         assert M == PointMatrix(*self.VALUES)
 
 
+@pytest.mark.parametrize(
+    "cls, values, message",
+    [
+        (ExtremalSummary, (3, 2, 1, 2, 3), "inconsistent summary e=3, f=2, g=1"),
+        (ExtremalSummary, (1, 4, 1, 2, 3), r"f=4 outside its search window \[2, 3\]"),
+        (OracleResult, (True, 0, 3, 3, 2, WITNESS), "realizable must mean count > 0"),
+        (OracleResult, (True, 1, None, 3, 2, WITNESS), "extremes must be present"),
+    ],
+)
+def test_inconsistent_fields_are_refused(cls, values, message):
+    with pytest.raises(ValueError, match=message):
+        cls(*values)
+
+
 def test_defaults_of_the_trailing_fields():
     assert RealizationReport(True, True, True).failures == ()
     assert SweepReport(1, {2: 1}, 4).mismatches == ()
