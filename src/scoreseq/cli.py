@@ -43,8 +43,6 @@ from .core import (
     verify_realization,
 )
 
-BUDGET_ENV_VAR = "SCORESEQ_ORACLE_BUDGET"
-
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
@@ -210,33 +208,14 @@ def _cmd_verify(args: argparse.Namespace) -> Outcome:
     }
 
 
-def _oracle_budget(args: argparse.Namespace) -> int:
-    from .oracle import DEFAULT_BUDGET
-
-    budget = args.budget
-    if budget is None:
-        env = os.environ.get(BUDGET_ENV_VAR)
-        if env is None:
-            return DEFAULT_BUDGET
-        try:
-            budget = int(env)
-        except ValueError:
-            raise ValueError(
-                f"{BUDGET_ENV_VAR}={env!r} is not an integer"
-            ) from None
-    return budget
-
-
 def _cmd_oracle(args: argparse.Namespace) -> Outcome:
-    from .oracle import enumerate_extremes
+    from .oracle import DEFAULT_BUDGET, enumerate_extremes
 
     D, _ = normalize_sequence(_load_scores(args))
     pair_cap = args.pair_cap if args.pair_cap is not None else 2 * extremal_summary(D).e
+    budget = DEFAULT_BUDGET if args.budget is None else args.budget
     result = enumerate_extremes(
-        D,
-        pair_cap=pair_cap,
-        a_floor=args.a_floor,
-        budget=_oracle_budget(args),
+        D, pair_cap=pair_cap, a_floor=args.a_floor, budget=budget
     )
     witness = None if args.no_witness else result.witness
     fields = {
@@ -266,9 +245,9 @@ def _cmd_oracle(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> Outcome:
-    from .oracle import sweep
+    from .oracle import DEFAULT_BUDGET, sweep
 
-    budget = _oracle_budget(args)
+    budget = DEFAULT_BUDGET if args.budget is None else args.budget
     report = sweep(args.n_max, args.d_max, moon_c_max=args.moon_c_max, budget=budget)
     payload = {
         "sequences": report.sequences,

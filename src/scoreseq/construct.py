@@ -195,8 +195,6 @@ def score_slicing(
             per_member = -(-avail // width)
             if gap < per_member:
                 per_member = gap
-            if b < per_member:
-                per_member = b
             if per_member <= 0 or not ordered:
                 break
             floor = level - per_member

@@ -79,6 +79,8 @@ from .core import (
 )
 
 DEFAULT_BUDGET = 10**8
+# Also a recursion bound: _frontier recurses once per pair, so its walk is
+# n(n-1)/2 = 15 deep; lifting the limit needs n <= 45 or an iterative walk.
 MAX_ORACLE_PLAYERS = 6
 
 

@@ -242,29 +242,10 @@ class TestOracle:
         assert code == 3
         assert "budget" in err
 
-    def test_env_budget_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("SCORESEQ_ORACLE_BUDGET", "5")
-        code, _, err = invoke(capsys, "oracle", "--scores", "1,1,1")
-        assert code == 3
-
     def test_negative_budget_flag_is_input_error(self, capsys):
         code, _, err = invoke(capsys, "oracle", "--scores", "1,1,1", "--budget", "-1")
         assert code == 2
         assert "nonnegative" in err
-
-    def test_negative_env_budget_is_input_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("SCORESEQ_ORACLE_BUDGET", "-1")
-        code, _, err = invoke(capsys, "oracle", "--scores", "1,1,1")
-        assert code == 2
-        assert "nonnegative" in err
-
-    def test_flag_budget_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SCORESEQ_ORACLE_BUDGET", "5")
-        code, payload, _ = invoke_json(
-            capsys, "oracle", "--scores", "1,1,1", "--budget", "1000000"
-        )
-        assert code == 0
-        assert payload["realizable"] is True
 
 
 class TestSweep:
@@ -314,13 +295,6 @@ class TestSweep:
         assert out == ""
         assert "7 players is beyond exhaustive reach" in err
 
-    def test_env_budget_that_is_no_integer_is_input_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("SCORESEQ_ORACLE_BUDGET", "x")
-        code, out, err = invoke(capsys, "sweep", "--n-max", "2", "--d-max", "1")
-        assert code == 2
-        assert out == ""
-        assert "SCORESEQ_ORACLE_BUDGET='x' is not an integer" in err
-
     def test_mismatches_exit_one_and_are_listed(self, capsys, monkeypatch):
         fast = oracle.moon_test
         monkeypatch.setattr(oracle, "moon_test", lambda D, c: not fast(D, c))
@@ -340,6 +314,22 @@ class TestSweep:
             run(["sweep", "--n-max", "3", "--d-max", "2", "--format", "csv"])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["1", "-1", "x"])
+def test_environment_cannot_change_an_answer(capsys, monkeypatch, value):
+    # --budget is the only route to the oracle budget: a variable named like
+    # one must leave every oracle and sweep answer as it is
+    commands = [
+        ("oracle", "--scores", "1,1,1"),
+        ("sweep", "--n-max", "3", "--d-max", "2"),
+    ]
+    monkeypatch.delenv("SCORESEQ_ORACLE_BUDGET", raising=False)
+    unset = [invoke(capsys, *argv) for argv in commands]
+    monkeypatch.setenv("SCORESEQ_ORACLE_BUDGET", value)
+    for argv, (code, out, _) in zip(commands, unset):
+        assert code == 0
+        assert invoke(capsys, *argv)[:2] == (0, out)
 
 
 class TestBench:

@@ -21,7 +21,7 @@ import tempfile
 
 import pytest
 
-from scoreseq.cli import BUDGET_ENV_VAR, run
+from scoreseq.cli import run
 
 from golden import SCORES_SIX, TABLE_WIDE
 
@@ -152,12 +152,10 @@ def test_pinned_cases_match_case_list():
 def test_cli_output_is_pinned(pinned, tmp_path, monkeypatch):
     write_fixtures(tmp_path)
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
     assert capture(pinned["argv"]) == pinned
 
 
 if __name__ == "__main__":
-    os.environ.pop(BUDGET_ENV_VAR, None)
     with tempfile.TemporaryDirectory() as scratch:
         write_fixtures(pathlib.Path(scratch))
         here = os.getcwd()

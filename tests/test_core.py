@@ -20,7 +20,7 @@ from scoreseq import (
     normalize_sequence,
     verify_realization,
 )
-from scoreseq.core import ceil_div
+from scoreseq.core import _validate_scores, ceil_div
 
 from golden import SCORES_SIX, TABLE_BALANCED, TABLE_UNBALANCED, TABLE_WIDE
 
@@ -56,6 +56,15 @@ class TestNormalizeSequence:
     def test_magnitude_guard(self):
         with pytest.raises(ValueError):
             normalize_sequence([0, 10**9 + 1])
+
+    def test_length_guard(self):
+        # a range has a length and ends but stores no elements, so this
+        # reaches the guard without building 10**9 + 1 scores; the entry
+        # points copy their input into a tuple and must not be given it
+        with pytest.raises(ValueError) as info:
+            _validate_scores(range(10**9 + 1), ordered=True)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "sequence length exceeds supported magnitude"
 
     @pytest.mark.parametrize(
         "raw, error, text",
