@@ -38,6 +38,7 @@ from .core import (
     PointMatrix,
     ScoreSequence,
     TournamentError,
+    _validate_scores,
     matrix_stats,
     normalize_sequence,
     verify_realization,
@@ -278,6 +279,7 @@ def _cmd_bench(args: argparse.Namespace) -> Outcome:
     too_small = [n for n in sizes + mm_sizes if n < 2]
     if too_small:
         raise ValueError(f"bench sizes must be at least 2, got {too_small}")
+    _validate_scores((0, 2 * max(sizes + mm_sizes, default=0)))  # before drawing any
 
     rows = ["algorithm,n,d_max,seed,repeats,best_seconds,input_checksum"]
     for name in algorithms:

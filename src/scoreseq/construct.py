@@ -169,14 +169,12 @@ def score_slicing(
     while missing > 0 and spare > 0:
         cap = a if deficit > 0 else b
         x = top
-        while x >= 1 and grid[x][k] >= cap:
+        while grid[x][k] >= cap:
             x -= 1
             slack = below - a * x * (x - 1) // 2
             if slack < room:
                 room = slack
             below -= p[x]
-        if x == 0:
-            break
         # The fill: members low..x stand at `level` while p and grid still
         # hold what they had when they joined; p[i] - level is owed to each.
         # A round whose hand-out fits the budget is taken whole: members get

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scoreseq import matrix_stats, naive_construct, oracle
+from scoreseq import cli, matrix_stats, naive_construct, oracle
 from scoreseq.cli import run
 
 from golden import SCORES_SIX, TABLE_WIDE
@@ -386,6 +386,24 @@ class TestBench:
         assert code == 2
         assert out == ""
         assert "at least 2" in err
+
+    @pytest.mark.parametrize("flag", ["--sizes", "--minimax-sizes"])
+    def test_size_beyond_magnitude_rejected_before_any_input(
+        self, capsys, monkeypatch, flag
+    ):
+        # scores run up to 2n, so 2 * 500000001 is past MAX_MAGNITUDE; the
+        # size must be refused before a pool of 5 * 10**8 scores is drawn
+        def refused(*args, **kwargs):
+            raise AssertionError("bench drew an input")
+
+        monkeypatch.setattr(cli, "generate_scores", refused)
+        code, out, err = invoke(
+            capsys, "bench", "--algorithms", "min-f,minimax",
+            flag, "500000001", "--repeats", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "exceeds supported magnitude" in err
 
     def test_unknown_algorithm_is_input_error(self, capsys):
         code, _, err = invoke(capsys, "bench", "--algorithms", "quantum")

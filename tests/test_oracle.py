@@ -383,6 +383,17 @@ class TestFrontier:
             (0, 0, 2, 2, 0),
         )
 
+    def test_reach_keeps_the_largest_g_of_a_shared_f(self):
+        # (1,6,6,6) at its sweep cap 5 has two frontier points with F = 4,
+        # the larger G first: a reach that let the later point overwrite it
+        # would read window (3, 4) as unrealizable, and sweep(4, 6), which
+        # holds this sequence, would report it against interval_test
+        D = ScoreSequence((1, 6, 6, 6))
+        _, points = oracle._frontier(D, 5, {}, oracle.DEFAULT_BUDGET)
+        assert points == [(4, 3, 3), (4, 2, 2)]
+        assert oracle._reach(points, 5) == [-1, -1, -1, -1, 3, 3]
+        assert sweep(4, 6).clean
+
     def test_matches_per_window_search(self):
         # slow cross-check against the reference walk, independent of
         # interval_test and of the frontier: the frontier count and extremes
